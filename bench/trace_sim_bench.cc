@@ -22,7 +22,13 @@
  *     chunked at the trace generator's day-batch size.  The gated
  *     speedup keeps the batch path from silently regressing to
  *     scalar cost.
- *  6. Paper-scale streaming replay: the full 7,104-rack fleet of
+ *  6. Tabled shape fill vs per-sample shape: Archetype::utilFill
+ *     (minute-of-day table lookups) against the per-sample utilAt
+ *     loop (cos kernels plus int64 divides), over the generator's
+ *     random VM mixes on the 5-minute grid in day-sized chunks.
+ *     The gated min-of-N speedup keeps the window refill's shape
+ *     term from drifting back to kernel cost.
+ *  7. Paper-scale streaming replay: the full 7,104-rack fleet of
  *     the paper (§III) through the HierarchyZone budget path,
  *     reporting replay throughput, the serial hierarchy-recompute
  *     share, and peak RSS (the streaming-window design holds it to
@@ -314,7 +320,75 @@ runGenBatchVsScalar()
     return out;
 }
 
-/** The paper-scale streaming replay (section 6). */
+/** Tabled utilFill vs per-sample utilAt (section 6).  Both sides
+ *  produce the same samples (pinned by test) for the archetypes of
+ *  the generator's random mixes, over six weeks of 5-minute slots
+ *  chunked at VmUtilCursor::kBatch like the window refill.  Each
+ *  side's time is its min over the reps (the distribution floor). */
+struct ShapeFillResult {
+    double perSampleNsPerSample = 0.0;
+    double tabledNsPerSample = 0.0;
+    double speedup = 0.0;
+};
+
+ShapeFillResult
+runShapeFill()
+{
+    constexpr std::size_t kChunk = workload::VmUtilCursor::kBatch;
+    constexpr std::size_t kChunks = 6 * 7; // six weeks of days
+    constexpr int kReps = 5;
+    workload::TraceGenerator gen(77, workload::TraceConfig{});
+    std::vector<workload::Archetype> archetypes;
+    for (int server = 0; server < 4; ++server)
+        for (const auto &vm : gen.randomVmMix(64))
+            archetypes.push_back(vm.archetype);
+    const double samples = static_cast<double>(
+        archetypes.size() * kChunks * kChunk);
+
+    std::vector<double> buf(kChunk);
+    double per_sample_s = 0.0;
+    double tabled_s = 0.0;
+    double sink = 0.0;
+    for (int rep = 0; rep < kReps; ++rep) {
+        auto start = Clock::now();
+        for (const auto &arch : archetypes) {
+            for (std::size_t c = 0; c < kChunks; ++c) {
+                const sim::Tick first =
+                    static_cast<sim::Tick>(c * kChunk) * sim::kSlot;
+                for (std::size_t k = 0; k < kChunk; ++k)
+                    buf[k] = arch.utilAt(
+                        first + static_cast<sim::Tick>(k) * sim::kSlot);
+                sink += buf[kChunk - 1];
+            }
+        }
+        const double p = secondsSince(start);
+        if (rep == 0 || p < per_sample_s)
+            per_sample_s = p;
+
+        start = Clock::now();
+        for (const auto &arch : archetypes) {
+            for (std::size_t c = 0; c < kChunks; ++c) {
+                const sim::Tick first =
+                    static_cast<sim::Tick>(c * kChunk) * sim::kSlot;
+                arch.utilFill(first, sim::kSlot, kChunk, buf.data());
+                sink += buf[kChunk - 1];
+            }
+        }
+        const double t = secondsSince(start);
+        if (rep == 0 || t < tabled_s)
+            tabled_s = t;
+    }
+    // The checksum only keeps the loops observable.
+    if (sink == 12345.678)
+        std::fprintf(stderr, "(checksum coincidence)\n");
+    ShapeFillResult out;
+    out.perSampleNsPerSample = per_sample_s / samples * 1e9;
+    out.tabledNsPerSample = tabled_s / samples * 1e9;
+    out.speedup = tabled_s > 0.0 ? per_sample_s / tabled_s : 0.0;
+    return out;
+}
+
+/** The paper-scale streaming replay (section 7). */
 struct PaperScaleResult {
     cluster::TraceSimConfig cfg;
     cluster::TraceSimResult result;
@@ -521,7 +595,10 @@ main(int argc, char **argv)
     // 5. Batch-vs-scalar normal generation (gated speedup).
     const auto gen_batch = runGenBatchVsScalar();
 
-    // 6. Paper-scale streaming replay (gated racks/s + peak RSS).
+    // 6. Tabled vs per-sample shape fill (gated speedup).
+    const auto shape_fill = runShapeFill();
+
+    // 7. Paper-scale streaming replay (gated racks/s + peak RSS).
     const auto paper = runPaperScale(args);
 
     std::FILE *out = std::fopen(args.outPath, "w");
@@ -567,6 +644,11 @@ main(int argc, char **argv)
                  "    \"gen_scalar_normals_per_s\": %.0f,\n"
                  "    \"gen_batch_normals_per_s\": %.0f,\n"
                  "    \"gen_batch_speedup\": %.3f\n"
+                 "  },\n"
+                 "  \"shape_fill\": {\n"
+                 "    \"shape_per_sample_ns\": %.2f,\n"
+                 "    \"shape_tabled_ns\": %.2f,\n"
+                 "    \"shape_fill_speedup\": %.3f\n"
                  "  },\n",
                  cfg.racks, cfg.serversPerRack, wall_s,
                  result.genSeconds, result.simSeconds, racks_per_s,
@@ -583,7 +665,9 @@ main(int argc, char **argv)
                  static_cast<unsigned long long>(
                      ingress_bench.stats.parseRejects),
                  ingress_bench.hintsPerS, gen_batch.scalarPerS,
-                 gen_batch.batchPerS, gen_batch.speedup);
+                 gen_batch.batchPerS, gen_batch.speedup,
+                 shape_fill.perSampleNsPerSample,
+                 shape_fill.tabledNsPerSample, shape_fill.speedup);
     printPaperScaleJson(out, args, paper);
     std::fprintf(out, "}\n");
     std::fclose(out);
@@ -592,13 +676,14 @@ main(int argc, char **argv)
                 "recompute_us_1d_min=%.2f recompute_us_6w_min=%.2f "
                 "ratio=%.3f flat_zone_split_us=%.2f "
                 "hier_incremental_us=%.2f hints_per_s=%.0f "
-                "gen_batch_speedup=%.3f "
+                "gen_batch_speedup=%.3f shape_fill_speedup=%.3f "
                 "paper_racks_per_s=%.1f paper_peak_rss_mb=%.1f "
                 "-> %s\n",
                 wall_s, result.genSeconds, result.simSeconds,
                 racks_per_s, lat_1d.minUs, lat_6w.minUs, ratio,
                 flat_us, hier_us, ingress_bench.hintsPerS,
-                gen_batch.speedup, paper.racksPerS, paper.peakRssMb,
+                gen_batch.speedup, shape_fill.speedup,
+                paper.racksPerS, paper.peakRssMb,
                 args.outPath);
     return 0;
 }

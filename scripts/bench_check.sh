@@ -3,7 +3,8 @@
 # BENCH_trace_sim.json at the repo root (simulator replay throughput,
 # gOA recompute latency at 1-day vs 6-week telemetry horizons, the
 # hierarchical budget tier, hint-ingestion throughput under the
-# standard adversarial storm, and the 7,104-rack paper-scale
+# standard adversarial storm, batch normal generation, the tabled
+# shape fill, and the 7,104-rack paper-scale
 # streaming replay).  Gates:
 #  - replay throughput must stay at or above RACKS_PER_S_MIN
 #    (struct-of-arrays replay baseline, with margin for CI noise);
@@ -20,11 +21,16 @@
 #    (GEN_BATCH_SPEEDUP_MIN, ~1.09x measured; the polar-method math
 #    dominates both sides, so the margin is thin — the end-to-end
 #    generation win is gated via paper_gen_s below);
+#  - the tabled shape fill (Archetype::utilFill, minute-of-day
+#    table lookups) must beat the per-sample utilAt loop by
+#    SHAPE_FILL_SPEEDUP_MIN (min-of-N; ~8x measured when the tables
+#    landed);
 #  - the paper-scale run (7,104 racks x 8 servers, 6h + 6h,
 #    HierarchyZone) must sustain PAPER_RACKS_PER_S_MIN and stay
 #    under PAPER_PEAK_RSS_MB_MAX — the streaming-window + resident-
-#    fleet footprint (~178 racks/s, ~14 GB with the compact
-#    quantized columns; the gate landed at ~55 racks/s, ~29 GB);
+#    fleet footprint (the last measured paper_racks_per_s and
+#    paper_peak_rss_mb are recorded in BENCH_trace_sim.json; the
+#    gate landed at ~55 racks/s, ~29 GB);
 #  - paper-scale trace generation must stay cheaper than the replay
 #    itself (gen_s < sim_s): the batch generator must never become
 #    the bottleneck of a policy study.
@@ -35,6 +41,7 @@ BUILD="${1:-build}"
 RACKS_PER_S_MIN=500
 HINTS_PER_S_MIN=1000000
 GEN_BATCH_SPEEDUP_MIN=1.02
+SHAPE_FILL_SPEEDUP_MIN=3
 PAPER_RACKS_PER_S_MIN=100
 PAPER_PEAK_RSS_MB_MAX=16000
 cmake -B "$BUILD" -S "$ROOT"
@@ -98,6 +105,18 @@ echo "batch normal generation: $GEN_BATCH normals/s batch" \
 awk "BEGIN { exit !($GEN_SPEEDUP >= $GEN_BATCH_SPEEDUP_MIN) }" || {
     echo "FAIL: batch normalFill no longer beats the scalar loop" \
          "by ${GEN_BATCH_SPEEDUP_MIN}x" >&2
+    exit 1
+}
+
+SHAPE_PER_SAMPLE_NS=$(extract shape_per_sample_ns)
+SHAPE_TABLED_NS=$(extract shape_tabled_ns)
+SHAPE_FILL_SPEEDUP=$(extract shape_fill_speedup)
+echo "shape fill: ${SHAPE_TABLED_NS}ns/sample tabled" \
+     "vs ${SHAPE_PER_SAMPLE_NS}ns/sample per-sample utilAt," \
+     "speedup $SHAPE_FILL_SPEEDUP (floor: $SHAPE_FILL_SPEEDUP_MIN)"
+awk "BEGIN { exit !($SHAPE_FILL_SPEEDUP >= $SHAPE_FILL_SPEEDUP_MIN) }" || {
+    echo "FAIL: tabled utilFill no longer beats per-sample utilAt" \
+         "by ${SHAPE_FILL_SPEEDUP_MIN}x" >&2
     exit 1
 }
 

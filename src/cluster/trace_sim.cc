@@ -162,11 +162,14 @@ secondsSince(Clock::time_point start)
  * serial zone recompute (see runLockstepZone).
  *
  * Traces are streamed: build() creates one ServerTraceStream per
- * server, derives the rack limit from a first streaming pass over
+ * server and derives the rack limit from a first streaming pass over
  * the full horizon (bit-identical to the materialized
- * rackPower-quantile path), then rewinds; replay regenerates the
- * samples window by window into the FleetState buffers, so a rack
- * holds O(VMs x streamWindow) samples instead of the whole horizon.
+ * rackPower-quantile path).  When that pass fit in one window
+ * (streamWindow 0 or >= the horizon) the window is kept for the
+ * replay as is, so every sample is generated once.  Otherwise the
+ * streams rewind and replay regenerates the samples window by window
+ * into the FleetState buffers, so a rack holds O(VMs x streamWindow)
+ * samples instead of the whole horizon.
  */
 class RackRuntime
 {
@@ -340,7 +343,7 @@ RackRuntime::build()
     }
     fleet_->setHorizon(slotsTotal_);
 
-    // First pass: stream the whole horizon once to derive the rack
+    // Limit pass: stream the whole horizon once to derive the rack
     // limit from the baseline power profile, accumulating the rack
     // power series in the same order TimeSeries::sum reduced the
     // materialized per-server traces (servers ascending per slot).
@@ -385,10 +388,17 @@ RackRuntime::build()
     const power::Watts limit{rack_power.quantile(0.99) *
                              config_.limitFactor};
 
-    // Rewind for replay: the same windows stream again on demand.
-    for (auto &stream : streams_)
-        stream.reset();
-    fleet_->resetWindows();
+    if (windowSlots_ >= slotsTotal_) {
+        // The pass filled one window over the whole horizon: keep
+        // it for the replay, which then never refills.
+        fleet_->finalizeWindow();
+    } else {
+        // Rewind for replay: the same windows stream again on
+        // demand.
+        for (auto &stream : streams_)
+            stream.reset();
+        fleet_->resetWindows();
+    }
 
     rack_ = std::make_unique<power::Rack>(rackIndex_, limit);
     manager_ = std::make_unique<power::RackManager>(*rack_);

@@ -1,6 +1,7 @@
 #include "workload/archetype.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace soc
@@ -25,9 +26,9 @@ bump(double hour, double center, double width)
 
 /*
  * Per-kind shape kernels.  shapeValue dispatches to these per
- * sample; Archetype::utilFill hoists the dispatch out of its fill
- * loop and runs one kernel over the whole batch.  Sharing the
- * kernels keeps the two paths bit-identical by construction.
+ * sample; the minute-of-day tables below are built from the same
+ * dispatch, so a table lookup is bit-identical to calling the
+ * kernel.
  */
 
 double
@@ -83,31 +84,38 @@ shapeLowIdle(double hour)
     return 0.2 * bump(hour, 12.0, 8.0);
 }
 
+constexpr int kMinutesPerDay =
+    static_cast<int>(sim::kDay / sim::kMinute);
+constexpr int kShapeKinds = static_cast<int>(ShapeKind::LowIdle) + 1;
+/** Whole minutes in (-1 day, +1 day): timeOfDay of a negative tick
+ *  is negative, so the table spans both signs. */
+constexpr int kTableMinutes = 2 * kMinutesPerDay - 1;
+
 /**
- * The shared fill loop of Archetype::utilFill, instantiated once
- * per shape kernel so the per-sample switch disappears and the
- * compiler can vectorize across the batch.  Expression order mirrors
- * Archetype::utilAt exactly (bit-identity is pinned by test).
+ * shapeValue at every whole minute of day, one row per ShapeKind.
+ * The shape depends on time only through sim::hourOfDay, so the
+ * ~160 KB of rows replace every kernel call of a whole-minute fill.
+ * Built once, on first use, and read-only after (thread-safe).
  */
-template <typename ShapeFn>
-void
-fillShaped(const Archetype &a, bool weekend_scales, sim::Tick start,
-           sim::Tick interval, std::size_t n, double *out,
-           ShapeFn shape)
-{
-    const double base = a.baseUtil;
-    const double full_amplitude = a.peakUtil - a.baseUtil;
-    for (std::size_t k = 0; k < n; ++k) {
-        const sim::Tick shifted =
-            start + static_cast<sim::Tick>(k) * interval +
-            a.phaseShift;
-        double amplitude = full_amplitude;
-        if (weekend_scales && sim::isWeekend(shifted))
-            amplitude *= a.weekendFactor;
-        const double util =
-            base + amplitude * shape(sim::hourOfDay(shifted));
-        out[k] = std::clamp(util, 0.0, 1.0);
+struct ShapeTables {
+    ShapeTables()
+    {
+        for (int k = 0; k < kShapeKinds; ++k)
+            for (int m = 1 - kMinutesPerDay; m < kMinutesPerDay; ++m)
+                rows[k][m + kMinutesPerDay - 1] = shapeValue(
+                    static_cast<ShapeKind>(k), m * sim::kMinute);
     }
+
+    double rows[kShapeKinds][kTableMinutes];
+};
+
+/** @return row of @p kind, indexed by minute of day in
+ *  (-1440, 1440). */
+const double *
+shapeRow(ShapeKind kind)
+{
+    static const ShapeTables tables;
+    return tables.rows[static_cast<int>(kind)] + kMinutesPerDay - 1;
 }
 
 } // namespace
@@ -155,41 +163,78 @@ Archetype::utilAt(sim::Tick t) const
     return std::clamp(util, 0.0, 1.0);
 }
 
+double
+shapeAtMinute(ShapeKind kind, int minuteOfDay)
+{
+    assert(minuteOfDay > -kMinutesPerDay &&
+           minuteOfDay < kMinutesPerDay);
+    return shapeRow(kind)[minuteOfDay];
+}
+
 void
 Archetype::utilFill(sim::Tick start, sim::Tick interval,
                     std::size_t n, double *out) const
 {
-    const bool weekend_scales = kind != ShapeKind::ConstantHigh;
-    switch (kind) {
-      case ShapeKind::MorningPeak:
-        fillShaped(*this, weekend_scales, start, interval, n, out,
-                   shapeMorningPeak);
-        return;
-      case ShapeKind::TopOfHour:
-        fillShaped(*this, weekend_scales, start, interval, n, out,
-                   shapeTopOfHour);
-        return;
-      case ShapeKind::BusinessHours:
-        fillShaped(*this, weekend_scales, start, interval, n, out,
-                   shapeBusinessHours);
-        return;
-      case ShapeKind::Diurnal:
-        fillShaped(*this, weekend_scales, start, interval, n, out,
-                   shapeDiurnal);
-        return;
-      case ShapeKind::ConstantHigh:
-        fillShaped(*this, weekend_scales, start, interval, n, out,
-                   shapeConstantHigh);
-        return;
-      case ShapeKind::NightBatch:
-        fillShaped(*this, weekend_scales, start, interval, n, out,
-                   shapeNightBatch);
-        return;
-      case ShapeKind::LowIdle:
-        fillShaped(*this, weekend_scales, start, interval, n, out,
-                   shapeLowIdle);
+    sim::Tick shifted = start + phaseShift;
+    if (shifted % sim::kMinute != 0 || interval % sim::kMinute != 0 ||
+        interval < 0) {
+        // Off the minute grid the tables do not apply.
+        for (std::size_t k = 0; k < n; ++k)
+            out[k] = utilAt(start + static_cast<sim::Tick>(k) *
+                            interval);
         return;
     }
+
+    // Expression order mirrors utilAt exactly (bit-identity is
+    // pinned by test); ConstantHigh ignores weekends.
+    const double *shape = shapeRow(kind);
+    const double base = baseUtil;
+    const double weekday_amplitude = peakUtil - baseUtil;
+    const double weekend_amplitude = kind == ShapeKind::ConstantHigh
+        ? weekday_amplitude
+        : weekday_amplitude * weekendFactor;
+
+    // Negative shifted ticks (a phase shift before tick 0) take the
+    // general per-sample index.
+    std::size_t k = 0;
+    for (; k < n && shifted < 0; ++k, shifted += interval) {
+        const double amplitude = sim::isWeekend(shifted)
+            ? weekend_amplitude
+            : weekday_amplitude;
+        const auto minute = static_cast<int>(
+            sim::timeOfDay(shifted) / sim::kMinute);
+        out[k] = std::clamp(base + amplitude * shape[minute], 0.0,
+                            1.0);
+    }
+    if (k == n)
+        return;
+
+    // From the first non-negative tick on, walk minute of day and
+    // day of week incrementally: no divides per sample.
+    const sim::Tick step = interval / sim::kMinute;
+    const auto step_minutes = static_cast<int>(step % kMinutesPerDay);
+    const auto step_days =
+        static_cast<int>((step / kMinutesPerDay) % 7);
+    auto minute =
+        static_cast<int>(sim::timeOfDay(shifted) / sim::kMinute);
+    int day = sim::dayOfWeek(shifted);
+    // soclint:hot-begin(PERF-001) — runs under every window refill
+    // (ServerTraceStream::generateQuantized): table reads only.
+    for (; k < n; ++k) {
+        const double amplitude =
+            day >= 5 ? weekend_amplitude : weekday_amplitude;
+        out[k] = std::clamp(base + amplitude * shape[minute], 0.0,
+                            1.0);
+        minute += step_minutes;
+        day += step_days;
+        if (minute >= kMinutesPerDay) {
+            minute -= kMinutesPerDay;
+            ++day;
+        }
+        if (day >= 7)
+            day -= 7;
+    }
+    // soclint:hot-end(PERF-001)
 }
 
 Archetype

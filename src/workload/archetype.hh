@@ -46,6 +46,14 @@ std::string shapeName(ShapeKind kind);
 double shapeValue(ShapeKind kind, sim::Tick t);
 
 /**
+ * Tabled shapeValue at a whole minute of day: equals
+ * shapeValue(kind, minuteOfDay * sim::kMinute) bit for bit (pinned
+ * by test).  @p minuteOfDay lies in (-1440, 1440); negative minutes
+ * are the timeOfDay of negative (phase-shifted) ticks.
+ */
+double shapeAtMinute(ShapeKind kind, int minuteOfDay);
+
+/**
  * An archetype: a shape plus the scaling that turns it into CPU
  * utilization.
  */
@@ -71,8 +79,11 @@ struct Archetype {
     /**
      * Batch form of utilAt: out[k] = utilAt(start + k * interval)
      * for k in [0, n), bit-identical to the scalar calls (pinned by
-     * test).  The per-sample shape dispatch is hoisted out of the
-     * loop so window fills run one straight-line kernel per VM.
+     * test).  When the shifted ticks fall on whole minutes the shape
+     * term is a lookup in a per-kind minute-of-day table (see
+     * shapeAtMinute), with minute of day and day of week walked
+     * incrementally from the first non-negative shifted tick; ticks
+     * off the minute grid fall back to utilAt per sample.
      */
     void utilFill(sim::Tick start, sim::Tick interval, std::size_t n,
                   double *out) const;

@@ -304,17 +304,33 @@ TEST(TraceSimHierarchy, StreamWindowSizeDoesNotChangeResults)
 {
     // Chunking the trace stream differently must not perturb replay:
     // the cursors produce the same samples however the windows land.
-    auto cfg = hierarchyConfig();
-    const auto run_with = [&cfg](sim::Tick window) {
-        auto c = cfg;
-        c.streamWindow = window;
-        return runTraceSim(c);
-    };
-    const auto daily = run_with(sim::kDay);
-    const auto odd = run_with(7 * sim::kSlot);
-    const auto whole = run_with(0);
-    expectSameSimState(daily, odd);
-    expectSameSimState(daily, whole);
+    // A window covering the whole horizon keeps the limit pass's
+    // samples for the replay instead of regenerating them, so the
+    // windows around the horizon pin that reuse from both sides:
+    // exactly the horizon and one slot more (one window, reused) vs
+    // one slot less (a second, one-slot window, rewound and
+    // regenerated).
+    for (const BudgetPath path :
+         {BudgetPath::PerRack, BudgetPath::HierarchyZone}) {
+        auto cfg = hierarchyConfig();
+        cfg.budgetPath = path;
+        const sim::Tick horizon = cfg.warmup + cfg.duration;
+        const auto run_with = [&cfg](sim::Tick window) {
+            auto c = cfg;
+            c.streamWindow = window;
+            return runTraceSim(c);
+        };
+        const auto odd = run_with(7 * sim::kSlot);
+        EXPECT_GT(odd.requests, 0u);
+        for (const sim::Tick window :
+             {sim::Tick{0}, sim::kDay, horizon, horizon + sim::kSlot,
+              horizon - sim::kSlot, sim::kSlot}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "path " << static_cast<int>(path)
+                         << " window " << window);
+            expectSameSimState(odd, run_with(window));
+        }
+    }
 }
 
 TEST(TraceSimHierarchy, RejectsFaultsAndBadWindows)

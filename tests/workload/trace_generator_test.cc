@@ -353,28 +353,82 @@ TEST(TraceGenerator, QuantizedStreamMatchesDoubleStream)
 
 TEST(TraceGenerator, UtilFillMatchesUtilAt)
 {
-    // The batched shape kernel behind the window fills must agree
-    // bit for bit with the scalar utilAt across day, weekend, and
-    // phase-shift boundaries for every archetype kind.
-    TraceGenerator gen(12, shortConfig());
+    // The tabled shape fill behind the window refills must agree bit
+    // for bit with the scalar utilAt for every shape kind: across
+    // Friday->Saturday and Sunday->Monday, through negative shifted
+    // ticks (phase shifts before tick 0, one of them over a day),
+    // and off the minute grid (a +7 s start, a 7 s or 90 s step).
+    constexpr int kKinds = static_cast<int>(ShapeKind::LowIdle) + 1;
+    for (int k = 0; k < kKinds; ++k) {
+        const auto kind = static_cast<ShapeKind>(k);
+        for (int m = -1439; m <= 1439; ++m)
+            ASSERT_EQ(shapeAtMinute(kind, m),
+                      shapeValue(kind, m * sim::kMinute))
+                << shapeName(kind) << " minute " << m;
+    }
+
     std::vector<Archetype> archetypes;
-    for (const auto &vm : gen.randomVmMix(64))
-        archetypes.push_back(vm.archetype);
+    for (int k = 0; k < kKinds; ++k) {
+        Archetype a;
+        a.kind = static_cast<ShapeKind>(k);
+        archetypes.push_back(a);
+    }
     archetypes.push_back(serviceA());
-    archetypes.push_back(serviceB());
     archetypes.push_back(serviceC());
     archetypes.push_back(mlTraining());
 
+    const sim::Tick friday = 4 * sim::kDay;
+    struct Span {
+        sim::Tick start;
+        sim::Tick length;
+    };
+    const Span spans[] = {
+        {0, 2 * sim::kDay},
+        {friday + 3 * sim::kMinute, 4 * sim::kDay},
+        {friday + 7 * sim::kSecond, 4 * sim::kDay},
+    };
+    const sim::Tick shifts[] = {0, -180 * sim::kMinute,
+                                -(sim::kDay + 180 * sim::kMinute),
+                                7 * sim::kMinute};
+    const sim::Tick intervals[] = {7 * sim::kSecond, sim::kMinute,
+                                   90 * sim::kSecond, sim::kSlot};
+    std::vector<double> filled;
+    for (Archetype arch : archetypes) {
+        for (const sim::Tick shift : shifts) {
+            arch.phaseShift = shift;
+            for (const Span &span : spans) {
+                for (const sim::Tick interval : intervals) {
+                    const auto n =
+                        static_cast<std::size_t>(span.length / interval);
+                    filled.assign(n, -1.0);
+                    arch.utilFill(span.start, interval, n,
+                                  filled.data());
+                    for (std::size_t i = 0; i < n; ++i) {
+                        const sim::Tick t = span.start +
+                            static_cast<sim::Tick>(i) * interval;
+                        ASSERT_EQ(filled[i], arch.utilAt(t))
+                            << shapeName(arch.kind) << " shift "
+                            << shift << " start " << span.start
+                            << " interval " << interval << " i "
+                            << i;
+                    }
+                }
+            }
+        }
+    }
+
+    // The generator's random mixes, on the replay's 5-minute grid.
+    TraceGenerator gen(12, shortConfig());
     const std::size_t n = 9 * sim::kSlotsPerDay; // crosses a weekend
-    const sim::Tick start = 4 * sim::kDay + 3 * sim::kMinute;
-    std::vector<double> filled(n);
-    for (const auto &arch : archetypes) {
-        arch.utilFill(start, sim::kSlot, n, filled.data());
-        for (std::size_t k = 0; k < n; ++k) {
+    const sim::Tick start = friday + 3 * sim::kMinute;
+    filled.assign(n, -1.0);
+    for (const auto &vm : gen.randomVmMix(64)) {
+        vm.archetype.utilFill(start, sim::kSlot, n, filled.data());
+        for (std::size_t i = 0; i < n; ++i) {
             const sim::Tick t =
-                start + static_cast<sim::Tick>(k) * sim::kSlot;
-            ASSERT_EQ(filled[k], arch.utilAt(t))
-                << shapeName(arch.kind) << " k " << k;
+                start + static_cast<sim::Tick>(i) * sim::kSlot;
+            ASSERT_EQ(filled[i], vm.archetype.utilAt(t))
+                << shapeName(vm.archetype.kind) << " i " << i;
         }
     }
 }
