@@ -34,15 +34,33 @@ echo "==== ci_check: six-week horizon smoke (16 racks) ===="
 # Tiny fleet on the paper's full 1w + 5w horizon: crosses weekly
 # recomputes, weekend amplitude shifts and many stream-window
 # refills — the long-horizon paths the 6h + 6h smoke never reaches.
+# Its peak RSS is gated: per-server agent state must not grow with
+# the horizon.  Measured on a 4-core VM (RelWithDebInfo + LTO):
+# 43-45 MiB with horizon-independent sOA telemetry, 120-123 MiB
+# when every sOA kept unbounded per-slot histories.
+SIXWEEK_PEAK_RSS_MB_MAX=64
 "$ROOT/build/bench/bench_trace_sim" \
     "$ROOT/build/BENCH_sixweek_smoke.json" --paper-scale \
     --racks 16 --six-weeks
-for field in paper_racks_per_s paper_peak_rss_mb; do
-    grep -q "\"$field\"" "$ROOT/build/BENCH_sixweek_smoke.json" || {
-        echo "FAIL: $field missing from six-week smoke output" >&2
-        exit 1
-    }
-done
+grep -q '"paper_racks_per_s"' "$ROOT/build/BENCH_sixweek_smoke.json" || {
+    echo "FAIL: paper_racks_per_s missing from six-week smoke output" >&2
+    exit 1
+}
+# Parse fail-closed: a missing or non-numeric field fails the gate.
+SIXWEEK_PEAK_RSS_MB=$(sed -n 's/.*"paper_peak_rss_mb": \([0-9.]*\).*/\1/p' \
+    "$ROOT/build/BENCH_sixweek_smoke.json")
+if [ -z "$SIXWEEK_PEAK_RSS_MB" ]; then
+    echo "FAIL: paper_peak_rss_mb missing from six-week smoke output" >&2
+    exit 1
+fi
+echo "six-week smoke peak RSS: $SIXWEEK_PEAK_RSS_MB MiB" \
+     "(ceiling: $SIXWEEK_PEAK_RSS_MB_MAX)"
+awk "BEGIN { exit !($SIXWEEK_PEAK_RSS_MB <= $SIXWEEK_PEAK_RSS_MB_MAX) }" || {
+    echo "FAIL: six-week smoke peak RSS above" \
+         "$SIXWEEK_PEAK_RSS_MB_MAX MiB — agent state growing with" \
+         "the horizon?" >&2
+    exit 1
+}
 
 echo "==== ci_check: static analysis ===="
 STATIC_LOG="$(mktemp)"

@@ -79,7 +79,18 @@ void
 SlotAggregator::add(sim::Tick t, double value)
 {
     assert(t >= 0);
-    assert(t > lastTick_);
+    // The ring stores values only, so a sample's tick is implied by
+    // its position: accept exactly the slot after the last one.  A
+    // gap, a repeat or a step back would silently re-key every
+    // retained sample behind it.
+    const sim::Tick next = firstTick_ +
+        static_cast<sim::Tick>(samples_.size()) * sim::kSlot;
+    if (!samples_.empty() && t != next) {
+        throw std::invalid_argument(
+            "SlotAggregator: sample at tick " + std::to_string(t) +
+            " is not the next slot (tick " + std::to_string(next) +
+            ")");
+    }
     // Reject non-finite telemetry before it is retained: a NaN
     // breaks the ordering comparisons every bucket sort relies on,
     // silently corrupting every median far from the cause.
@@ -88,8 +99,9 @@ SlotAggregator::add(sim::Tick t, double value)
             "SlotAggregator: non-finite sample " +
             std::to_string(value) + " at tick " + std::to_string(t));
     }
-    lastTick_ = t;
-    samples_.emplace_back(t, value);
+    if (samples_.empty())
+        firstTick_ = t;
+    samples_.push_back(value);
     if (indexed_)
         indexSample(t, value);
     else if (samples_.size() > kIndexThreshold)
@@ -131,16 +143,21 @@ SlotAggregator::buildIndex()
     // retained samples all along: bag contents are multisets (the
     // sorted-body/pending split is representation only), and
     // latest-wins per slot-of-week matches the arrival order.
-    for (const auto &[t, value] : samples_)
+    sim::Tick t = firstTick_;
+    for (const double value : samples_) {
         indexSample(t, value);
+        t += sim::kSlot;
+    }
 }
 
 void
 SlotAggregator::evictOlderThan(sim::Tick cutoff)
 {
-    while (!samples_.empty() && samples_.front().first < cutoff) {
-        const auto [t, value] = samples_.front();
+    while (!samples_.empty() && firstTick_ < cutoff) {
+        const sim::Tick t = firstTick_;
+        const double value = samples_.front();
         samples_.pop_front();
+        firstTick_ += sim::kSlot;
         if (indexed_) {
             all_.erase(value);
             auto &bucket = sim::isWeekend(t)
@@ -165,7 +182,7 @@ SlotAggregator::clear()
     // of the history too); storage regrows on demand.
     samples_.clear();
     samples_.shrink_to_fit();
-    lastTick_ = -1;
+    firstTick_ = 0;
     indexed_ = false;
     all_.values = {};
     all_.pending = {};
@@ -220,12 +237,7 @@ SlotAggregator::assembleFromRing(TemplateStrategy strategy) const
     // All retained values, sorted: FlatMed/FlatMax directly, and
     // the empty-bucket fallback median of Weekly/Daily*.
     thread_local std::vector<double> all_sorted;
-    all_sorted.clear();
-    all_sorted.reserve(samples_.size());
-    for (const auto &[t, value] : samples_) {
-        (void)t;
-        all_sorted.push_back(value);
-    }
+    all_sorted.assign(samples_.begin(), samples_.end());
     std::sort(all_sorted.begin(), all_sorted.end());
 
     switch (strategy) {
@@ -245,11 +257,13 @@ SlotAggregator::assembleFromRing(TemplateStrategy strategy) const
                       0.0);
         filled.assign(static_cast<std::size_t>(sim::kSlotsPerWeek),
                       0);
-        for (const auto &[t, value] : samples_) {
+        sim::Tick t = firstTick_;
+        for (const double value : samples_) {
             const auto slot = static_cast<std::size_t>(
                 (t % sim::kWeek) / sim::kSlot);
             latest[slot] = value;
             filled[slot] = 1;
+            t += sim::kSlot;
         }
         const double fallback = sortedMedian(all_sorted);
         out.weekly_.assign(sim::kSlotsPerWeek, 0.0);
@@ -275,11 +289,13 @@ SlotAggregator::assembleFromRing(TemplateStrategy strategy) const
             bucket.clear();
         for (auto &bucket : weekend)
             bucket.clear();
-        for (const auto &[t, value] : samples_) {
+        sim::Tick t = firstTick_;
+        for (const double value : samples_) {
             const auto slot =
                 static_cast<std::size_t>(sim::slotOfDay(t));
             (sim::isWeekend(t) ? weekend : weekday)[slot].push_back(
                 value);
+            t += sim::kSlot;
         }
         const double fallback = sortedMedian(all_sorted);
         auto aggregate = [use_max](std::vector<double> &bucket,

@@ -11,8 +11,10 @@
  *
  *  - **Ring mode** (small retained sets, the fleet-replay steady
  *    state): the only per-sample state is a window-bounded
- *    arrival-order ring; build(strategy) scatters it into
- *    thread-local bucket scratch and sorts at build time.  An
+ *    arrival-order ring of values — 8 B per retained slot, the
+ *    ticks being implied by the front sample's tick and the slot
+ *    stride; build(strategy) scatters it into thread-local bucket
+ *    scratch and sorts at build time.  An
  *    earlier design maintained per-(weekday|weekend)×slot sorted
  *    buckets plus a global sorted bag incrementally on every add();
  *    at fleet scale that cost ~1.5 KB of resident bucket state per
@@ -37,6 +39,11 @@
  * returns it untouched while the version is unchanged, which makes
  * back-to-back gOA recomputes with no newly closed slot O(1).
  *
+ * Samples must arrive on contiguous slots (each add() exactly
+ * kSlot after the previous one; the sOA replays its last averages
+ * over slots it did not observe), which is what lets the ring hold
+ * values without ticks.  add() rejects anything else.
+ *
  * An optional window (0 = unbounded, the default) evicts samples
  * older than the window behind the newest sample, bounding memory
  * and matching the paper's prior-week semantics when set to
@@ -53,7 +60,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <utility>
 #include <vector>
 
 #include "core/profile_template.hh"
@@ -66,8 +72,9 @@ namespace core
 
 /**
  * Exact incremental slot aggregation with per-strategy template
- * caching.  Not thread-safe; each sOA owns its aggregators, like
- * the telemetry series they shadow.  (Ring-mode assembly uses
+ * caching over a contiguous slot stream, stored as a value-only
+ * ring.  Not thread-safe; each sOA owns its aggregators (they are
+ * its only telemetry history).  (Ring-mode assembly uses
  * thread-local scratch, so distinct aggregators may build
  * concurrently from distinct threads.)
  */
@@ -94,18 +101,22 @@ class SlotAggregator
     explicit SlotAggregator(sim::Tick window = 0);
 
     /**
-     * Fold in the sample of the slot starting at @p t.  Ticks must
-     * be strictly increasing across calls (the sOA feeds slots in
-     * the order they close).  @p value must be finite: NaN/Inf
-     * telemetry would corrupt the sort-based bucket aggregation
-     * (ordering comparisons stop meaning anything), so it is
-     * rejected here with std::invalid_argument (the aggregator is
-     * left unchanged).  Same fail-at-ingestion stance as
-     * BudgetAssignment validation.
+     * Fold in the sample of the slot starting at @p t.  The first
+     * sample (of a fresh or clear()ed aggregator) may start at any
+     * tick; every later one must start exactly sim::kSlot after the
+     * previous one (the sOA feeds slots in the order they close,
+     * gaps filled).  @p value must be finite: NaN/Inf telemetry
+     * would corrupt the sort-based bucket aggregation (ordering
+     * comparisons stop meaning anything).  A gap, a repeated or
+     * backward tick, or a non-finite value is rejected with
+     * std::invalid_argument and leaves the aggregator unchanged —
+     * the same fail-at-ingestion stance as BudgetAssignment
+     * validation.
      */
     void add(sim::Tick t, double value);
 
-    /** Forget everything (sOA crash-restart). */
+    /** Forget everything (sOA crash-restart); the next add() may
+     *  start the ring at any tick. */
     void clear();
 
     sim::Tick window() const { return window_; }
@@ -190,12 +201,14 @@ class SlotAggregator
     sim::Tick window_;
     std::uint64_t version_ = 0;
 
-    /** Last accepted tick (strict monotonicity check). */
-    sim::Tick lastTick_ = -1;
-    /** Retained samples in arrival (= tick) order — the complete
-     *  per-sample state in ring mode, and the eviction log in
-     *  indexed mode. */
-    std::deque<std::pair<sim::Tick, double>> samples_;
+    /** Tick of samples_.front(); sample i covers the slot starting
+     *  at firstTick_ + i * kSlot.  The window is at least one slot,
+     *  so the ring is empty only when fresh or clear()ed. */
+    sim::Tick firstTick_ = 0;
+    /** Retained sample values in arrival (= tick) order — the
+     *  complete per-sample state in ring mode, and the eviction log
+     *  in indexed mode. */
+    std::deque<double> samples_;
 
     /** True once the retained set crossed kIndexThreshold and the
      *  incremental structures below took over (sticky until

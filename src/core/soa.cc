@@ -51,11 +51,6 @@ ServerOverclockingAgent::ServerOverclockingAgent(
       tis_(server.totalCores()),
       journal_(server.totalCores(), config.budgetEpoch),
       coreUsedEpoch_(server.totalCores(), 0),
-      regularHistory_(0, sim::kSlot),
-      powerHistory_(0, sim::kSlot),
-      utilHistory_(0, sim::kSlot),
-      grantedCoresHistory_(0, sim::kSlot),
-      requestedCoresHistory_(0, sim::kSlot),
       regularAgg_(config.templateWindow),
       powerAgg_(config.templateWindow),
       utilAgg_(config.templateWindow),
@@ -721,16 +716,27 @@ ServerOverclockingAgent::exhaustionPrediction(sim::Tick now)
 }
 
 void
-ServerOverclockingAgent::pushSample(telemetry::TimeSeries &series,
-                                    SlotAggregator &aggregator,
-                                    double value)
+ServerOverclockingAgent::closeSlot(power::Watts regular_watts,
+                                   power::Watts power_watts,
+                                   double util, double granted_cores,
+                                   double requested_cores)
 {
-    // series.end() is the tick the new sample will cover; feeding
-    // the aggregator the series' own tick (rather than wall time)
-    // keeps it bit-identical to a batch build over the series even
-    // after a crash-restart resets the history origin.
-    aggregator.add(series.end(), value);
-    series.append(value);
+    // Slots are keyed by how many have closed, not by wall time:
+    // slot i covers tick i * kSlot, so the aggregators see a
+    // contiguous stream from tick 0, also after a crash-restart
+    // resets the count.
+    const sim::Tick t = closed_.count * sim::kSlot;
+    regularAgg_.add(t, regular_watts.count());
+    powerAgg_.add(t, power_watts.count());
+    utilAgg_.add(t, util);
+    grantedCoresAgg_.add(t, granted_cores);
+    requestedCoresAgg_.add(t, requested_cores);
+    ++closed_.count;
+    closed_.regularWatts = regular_watts;
+    closed_.powerWatts = power_watts;
+    closed_.util = util;
+    closed_.grantedCores = granted_cores;
+    closed_.requestedCores = requested_cores;
 }
 
 void
@@ -742,29 +748,18 @@ ServerOverclockingAgent::telemetryCollection(sim::Tick now)
 
     if (slot != currentSlot_) {
         const double n = std::max(1, slotSamples_);
-        pushSample(regularHistory_, regularAgg_, slotRegularSum_ / n);
-        pushSample(powerHistory_, powerAgg_, slotPowerSum_ / n);
-        pushSample(utilHistory_, utilAgg_, slotUtilSum_ / n);
-        pushSample(grantedCoresHistory_, grantedCoresAgg_,
-                   slotGrantedSum_ / n);
-        pushSample(requestedCoresHistory_, requestedCoresAgg_,
-                   slotRequestedSum_ / n);
+        closeSlot(power::Watts{slotRegularSum_ / n},
+                  power::Watts{slotPowerSum_ / n}, slotUtilSum_ / n,
+                  slotGrantedSum_ / n, slotRequestedSum_ / n);
         slotRegularSum_ = slotPowerSum_ = slotUtilSum_ = 0.0;
         slotGrantedSum_ = slotRequestedSum_ = 0.0;
         slotSamples_ = 0;
         // Gaps (no ticks during a slot) replay the last averages so
-        // the series stays contiguous.
+        // the slot stream stays contiguous.
         while (++currentSlot_ < slot) {
-            pushSample(regularHistory_, regularAgg_,
-                       regularHistory_.values().back());
-            pushSample(powerHistory_, powerAgg_,
-                       powerHistory_.values().back());
-            pushSample(utilHistory_, utilAgg_,
-                       utilHistory_.values().back());
-            pushSample(grantedCoresHistory_, grantedCoresAgg_,
-                       grantedCoresHistory_.values().back());
-            pushSample(requestedCoresHistory_, requestedCoresAgg_,
-                       requestedCoresHistory_.values().back());
+            closeSlot(closed_.regularWatts, closed_.powerWatts,
+                      closed_.util, closed_.grantedCores,
+                      closed_.requestedCores);
         }
     }
 
@@ -828,12 +823,10 @@ ServerOverclockingAgent::crashRestart(sim::Tick now)
 
     // Telemetry accumulators restart empty (history is agent-local;
     // the next recompute sees a short history, which is the real
-    // cost of a crash).
-    regularHistory_ = telemetry::TimeSeries(0, sim::kSlot);
-    powerHistory_ = telemetry::TimeSeries(0, sim::kSlot);
-    utilHistory_ = telemetry::TimeSeries(0, sim::kSlot);
-    grantedCoresHistory_ = telemetry::TimeSeries(0, sim::kSlot);
-    requestedCoresHistory_ = telemetry::TimeSeries(0, sim::kSlot);
+    // cost of a crash).  The closed-slot count restarts at 0 too,
+    // so post-crash slots are keyed from tick 0 again, not from the
+    // crash time (a known phase shift, DESIGN.md §8).
+    closed_ = ClosedSlots{};
     regularAgg_.clear();
     powerAgg_.clear();
     utilAgg_.clear();

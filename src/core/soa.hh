@@ -21,7 +21,11 @@
  *    global WI agent `exhaustionWindow` ahead so scale-out can
  *    happen before overclocking disappears (Fig. 11);
  *  - collects the power/utilization/overclock telemetry the gOA
- *    aggregates into templates and heterogeneous budgets.
+ *    aggregates into templates and heterogeneous budgets.  Each
+ *    closed 5-minute slot goes straight into the SlotAggregators
+ *    (bounded by SoaConfig::templateWindow); the agent itself keeps
+ *    only the closed-slot count and the last slot's averages, so
+ *    its telemetry state does not grow with the horizon.
  */
 
 #ifndef SOC_CORE_SOA_HH
@@ -42,7 +46,6 @@
 #include "power/rack.hh"
 #include "power/rack_manager.hh"
 #include "power/server.hh"
-#include "telemetry/time_series.hh"
 
 namespace soc
 {
@@ -111,10 +114,11 @@ struct SoaConfig {
     /**
      * Telemetry horizon the power/utilization templates aggregate
      * over.  0 (default) keeps the full history — bit-identical to
-     * the original batch builder.  The paper-faithful setting is
-     * sim::kWeek: templates from the prior week only, with older
-     * samples evicted from the slot aggregators.  Must be a
-     * multiple of sim::kSlot when non-zero.
+     * the original batch builder, but the aggregators (the agent's
+     * only telemetry history) then grow with the horizon.  The
+     * paper-faithful setting is sim::kWeek: templates from the
+     * prior week only, with older samples evicted from the slot
+     * aggregators.  Must be a multiple of sim::kSlot when non-zero.
      */
     sim::Tick templateWindow = 0;
 
@@ -149,6 +153,22 @@ struct SoaStats {
     std::uint64_t templateCacheHits = 0;
     /** Requests denied by the flap-hysteresis window. */
     std::uint64_t flapDenied = 0;
+};
+
+/**
+ * The sOA's own closed-slot telemetry state: how many 5-minute
+ * slots have closed since construction or the last crashRestart,
+ * and the averages of the most recent one (replayed over slots no
+ * control tick observed).  Slot i is keyed at tick i * kSlot in the
+ * aggregators.
+ */
+struct ClosedSlots {
+    std::int64_t count = 0;
+    power::Watts regularWatts{0.0};
+    power::Watts powerWatts{0.0};
+    double util = 0.0;
+    double grantedCores = 0.0;
+    double requestedCores = 0.0;
 };
 
 /**
@@ -287,23 +307,9 @@ class ServerOverclockingAgent : public power::RackPowerListener
     void onWarning(sim::Tick now) override;
     void onCapEvent(sim::Tick now) override;
 
-    /** Telemetry collected for the gOA (5-minute slots). */
-    const telemetry::TimeSeries &powerHistory() const
-    {
-        return powerHistory_;
-    }
-    const telemetry::TimeSeries &utilHistory() const
-    {
-        return utilHistory_;
-    }
-    const telemetry::TimeSeries &grantedCoreHistory() const
-    {
-        return grantedCoresHistory_;
-    }
-    const telemetry::TimeSeries &requestedCoreHistory() const
-    {
-        return requestedCoresHistory_;
-    }
+    /** Closed-slot count and last closed-slot averages of the
+     *  telemetry collected for the gOA (5-minute slots). */
+    const ClosedSlots &closedSlots() const { return closed_; }
 
     /**
      * Build this server's profile from the collected telemetry.
@@ -384,10 +390,12 @@ class ServerOverclockingAgent : public power::RackPowerListener
     /** Flush per-slot telemetry when a 5-minute boundary passes. */
     void telemetryCollection(sim::Tick now);
 
-    /** Append one closed-slot sample to a history and mirror it
-     *  into the series' slot aggregator. */
-    static void pushSample(telemetry::TimeSeries &series,
-                           SlotAggregator &aggregator, double value);
+    /** Feed one closed slot's averages to the aggregators and make
+     *  them the last closed slot. */
+    void closeSlot(power::Watts regular_watts,
+                   power::Watts power_watts, double util,
+                   double granted_cores,
+                   double requested_cores);
 
     /** Is any granted group held below its desired frequency, or
      *  was a request recently denied for lack of power budget?
@@ -477,20 +485,16 @@ class ServerOverclockingAgent : public power::RackPowerListener
     sim::Tick lastAccounting_ = 0;
     sim::Tick allowancePerCore_ = 0;
 
-    // Telemetry accumulation (current slot).
-    telemetry::TimeSeries regularHistory_;
-    telemetry::TimeSeries powerHistory_;
-    telemetry::TimeSeries utilHistory_;
-    telemetry::TimeSeries grantedCoresHistory_;
-    telemetry::TimeSeries requestedCoresHistory_;
-    // Incremental template state shadowing each history (fed one
-    // sample per closed slot; templates come from here, O(slots)
-    // instead of an O(history) rescan per recompute).
+    // Telemetry: one aggregator per signal, fed one sample per
+    // closed slot (templates come from here, O(slots) per rebuild,
+    // retention bounded by templateWindow).
+    ClosedSlots closed_;
     SlotAggregator regularAgg_;
     SlotAggregator powerAgg_;
     SlotAggregator utilAgg_;
     SlotAggregator grantedCoresAgg_;
     SlotAggregator requestedCoresAgg_;
+    // Accumulation of the current (open) slot.
     std::int64_t currentSlot_ = -1;
     double slotRegularSum_ = 0.0;
     double slotPowerSum_ = 0.0;

@@ -276,6 +276,56 @@ TEST(SlotAggregator, RejectsNonFiniteSamplesAtIngestion)
     EXPECT_EQ(agg.sampleCount(), history.size() + 1);
 }
 
+TEST(SlotAggregator, RejectsNonContiguousTicks)
+{
+    // The ring holds values only and derives each tick from its
+    // position, so anything but the next slot would re-key the
+    // retained samples.  A gap, a repeat and a step back are all
+    // refused, leaving the aggregator untouched.
+    const auto history = randomHistory(78, 0, 64);
+    auto agg = aggregate(history);
+    const std::uint64_t version = agg.version();
+    const sim::Tick last = history.end() - kSlot;
+
+    const sim::Tick bad[] = {
+        last + 2 * kSlot,       // one-slot gap
+        last + 5 * kSlot,       // longer gap
+        last + kSlot + 1,       // off the slot grid
+        last,                   // repeated tick
+        last - kSlot,           // backward by a slot
+        history.start(),        // back to the first sample
+    };
+    for (sim::Tick t : bad)
+        EXPECT_THROW(agg.add(t, 250.0), std::invalid_argument)
+            << "tick " << t;
+
+    EXPECT_EQ(agg.version(), version);
+    EXPECT_EQ(agg.sampleCount(), history.size());
+    expectMatchesBatch(agg, history);
+
+    // The next slot is still accepted.
+    agg.add(history.end(), 250.0);
+    EXPECT_EQ(agg.sampleCount(), history.size() + 1);
+}
+
+TEST(SlotAggregator, ClearReanchorsAtAnyTick)
+{
+    // After clear() the ring starts over at whatever tick comes
+    // next: earlier than the old stream (a crash-restart keys its
+    // slots from 0 again), or later and off the day grid.
+    for (sim::Tick start : {sim::Tick{0}, 5 * kDay + 7 * kSlot,
+                            3 * kWeek + 1}) {
+        auto agg = aggregate(randomHistory(79, kWeek, 300), kWeek);
+        agg.clear();
+        const auto history =
+            randomHistory(80, start, sim::kSlotsPerDay + 11);
+        for (std::size_t i = 0; i < history.size(); ++i)
+            agg.add(history.timeOf(i), history.at(i));
+        expectMatchesBatch(agg, history);
+        EXPECT_EQ(agg.sampleCount(), history.size());
+    }
+}
+
 TEST(ProfileTemplateEquality, DetectsEveryFieldDifference)
 {
     const auto history = randomHistory(51, 0, sim::kSlotsPerDay * 9);

@@ -1,7 +1,12 @@
 /** @file Behavioural tests for the Server Overclocking Agent. */
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "core/slot_aggregator.hh"
 #include "core/soa.hh"
 
 using namespace soc;
@@ -53,6 +58,47 @@ struct Fixture {
     {
         for (Tick t = from; t <= to; t += step)
             soa->tick(t);
+    }
+};
+
+/**
+ * The slot stream an sOA's aggregators should have seen, rebuilt
+ * from its closed-slot state after every tick: a count that jumps
+ * by k means k slots closed with the same averages.
+ */
+struct SlotRecorder {
+    std::vector<ClosedSlots> slots;
+
+    void
+    tick(ServerOverclockingAgent &soa, Tick t)
+    {
+        const std::int64_t before = soa.closedSlots().count;
+        soa.tick(t);
+        const ClosedSlots &closed = soa.closedSlots();
+        for (std::int64_t i = before; i < closed.count; ++i)
+            slots.push_back(closed);
+    }
+
+    /** @p profile must equal the recorded stream fed to fresh
+     *  aggregators, slot i at tick i * kSlot. */
+    void
+    expectProfileMatches(const ServerProfile &profile) const
+    {
+        SlotAggregator power, util, granted, requested;
+        for (std::size_t i = 0; i < slots.size(); ++i) {
+            const Tick t = static_cast<Tick>(i) * sim::kSlot;
+            power.add(t, slots[i].powerWatts.count());
+            util.add(t, slots[i].util);
+            granted.add(t, slots[i].grantedCores);
+            requested.add(t, slots[i].requestedCores);
+        }
+        const auto strategy = TemplateStrategy::DailyMed;
+        EXPECT_TRUE(profile.power == power.build(strategy));
+        EXPECT_TRUE(profile.utilization == util.build(strategy));
+        EXPECT_TRUE(profile.overclockedCores ==
+                    granted.build(strategy));
+        EXPECT_TRUE(profile.requestedCores ==
+                    requested.build(strategy));
     }
 };
 
@@ -327,14 +373,10 @@ TEST(Soa, TelemetryHistoriesFillPerSlot)
     fx.soa->assignBudget(ProfileTemplate::flat(800.0));
     fx.soa->requestOverclock(fx.makeRequest(sim::kHour), 0);
     fx.run(0, 31 * kMinute, 15 * kSecond);
-    EXPECT_GE(fx.soa->powerHistory().size(), 6u);
-    EXPECT_EQ(fx.soa->powerHistory().size(),
-              fx.soa->utilHistory().size());
-    EXPECT_EQ(fx.soa->powerHistory().size(),
-              fx.soa->grantedCoreHistory().size());
+    const ClosedSlots &closed = fx.soa->closedSlots();
+    EXPECT_GE(closed.count, 6);
     // Granted-core telemetry reflects the 8 overclocked cores.
-    EXPECT_NEAR(fx.soa->grantedCoreHistory().values().back(), 8.0,
-                1.0);
+    EXPECT_NEAR(closed.grantedCores, 8.0, 1.0);
 }
 
 TEST(Soa, BuildProfileUsesCollectedTelemetry)
@@ -378,12 +420,104 @@ TEST(Soa, ExtensionDoesNotDoubleCountRequestedCores)
     // The second 5-minute telemetry slot saw only extensions, so
     // requested demand must equal the granted cores — extensions
     // must not be counted on top of the grant they extend.
-    ASSERT_GE(fx.soa->requestedCoreHistory().size(), 2u);
+    const ClosedSlots &closed = fx.soa->closedSlots();
+    ASSERT_GE(closed.count, 2);
+    EXPECT_DOUBLE_EQ(closed.requestedCores, 8.0);
+    EXPECT_DOUBLE_EQ(closed.requestedCores, closed.grantedCores);
+}
+
+TEST(Soa, GapFillRepeatsLastClosedSlot)
+{
+    // Control ticks through slots 0..3, none during slots 4..8,
+    // then ticks again from slot 9 with an overclock granted.  The
+    // tick at slot 9 closes slot 3 and must fill the 5-slot hole
+    // with slot 3's averages (no overclock), not with the new
+    // sample's (8 granted cores).
+    constexpr int kHole = 5;
+    Fixture fx;
+    fx.soa->assignBudget(ProfileTemplate::flat(800.0));
+    SlotRecorder recorder;
+    for (Tick t = 0; t < 4 * sim::kSlot; t += 15 * kSecond)
+        recorder.tick(*fx.soa, t);
+    const ClosedSlots before_hole = fx.soa->closedSlots();
+    EXPECT_EQ(before_hole.count, 3);
+
+    const Tick resume = (4 + kHole) * sim::kSlot;
+    ASSERT_TRUE(
+        fx.soa->requestOverclock(fx.makeRequest(sim::kHour), resume)
+            .granted);
+    recorder.tick(*fx.soa, resume);
+    const ClosedSlots after_hole = fx.soa->closedSlots();
+    // Slot 3 closed, then the hole was filled slot by slot.
+    EXPECT_EQ(after_hole.count, before_hole.count + 1 + kHole);
+    EXPECT_DOUBLE_EQ(after_hole.grantedCores, 0.0);
+    for (Tick t = resume + 15 * kSecond; t < resume + 3 * sim::kSlot;
+         t += 15 * kSecond)
+        recorder.tick(*fx.soa, t);
+    // The first slot after the hole carries the overclock.
+    ASSERT_GT(fx.soa->closedSlots().count, after_hole.count);
     EXPECT_DOUBLE_EQ(
-        fx.soa->requestedCoreHistory().values().back(), 8.0);
-    EXPECT_DOUBLE_EQ(
-        fx.soa->requestedCoreHistory().values().back(),
-        fx.soa->grantedCoreHistory().values().back());
+        recorder.slots[static_cast<std::size_t>(after_hole.count)]
+            .grantedCores,
+        8.0);
+    ASSERT_EQ(recorder.slots.size(),
+              static_cast<std::size_t>(fx.soa->closedSlots().count));
+    recorder.expectProfileMatches(fx.soa->buildProfile());
+}
+
+TEST(Soa, CrashRestartKeysTelemetryFromTickZero)
+{
+    // A crash restarts the closed-slot count, so post-crash slots
+    // are keyed from tick 0 again, not from the crash time (a known
+    // phase shift, DESIGN.md §8, that the pinned chaos digests
+    // encode): the templates are those of the post-crash slots
+    // alone, filed as if they began at tick 0.
+    Fixture fx;
+    fx.soa->assignBudget(ProfileTemplate::flat(800.0));
+    fx.run(0, 2 * sim::kHour, 15 * kSecond);
+    ASSERT_GT(fx.soa->closedSlots().count, 0);
+    const Tick crash = 2 * sim::kHour + 10 * kSecond;
+    fx.soa->crashRestart(crash);
+    EXPECT_EQ(fx.soa->closedSlots().count, 0);
+
+    SlotRecorder recorder;
+    for (Tick t = crash; t < crash + sim::kHour; t += 15 * kSecond)
+        recorder.tick(*fx.soa, t);
+    // Slots 24..35 were observed; the last one is still open.
+    EXPECT_EQ(fx.soa->closedSlots().count, 11);
+    ASSERT_EQ(recorder.slots.size(), 11u);
+    recorder.expectProfileMatches(fx.soa->buildProfile());
+}
+
+TEST(Soa, TelemetryStateIndependentOfHorizon)
+{
+    // With the paper's prior-week template window, an sOA's heap
+    // footprint must stop growing once the window is full: weeks 2
+    // to 6 of telemetry may not add per-slot state anywhere.
+    SoaConfig cfg;
+    cfg.templateWindow = sim::kWeek;
+    Fixture fx(cfg);
+    fx.soa->assignBudget(ProfileTemplate::flat(800.0));
+    // Heap in use: arena chunks plus mmap'd ones (large vectors
+    // cross the mmap threshold and are invisible to uordblks).
+    auto heap_in_use = [] {
+        const struct mallinfo2 info = mallinfo2();
+        return static_cast<long long>(info.uordblks + info.hblkhd);
+    };
+    long long heap_week2 = 0;
+    for (int week = 0; week < 6; ++week) {
+        fx.run(week * sim::kWeek, (week + 1) * sim::kWeek - kMinute,
+               kMinute);
+        fx.soa->refreshOwnTemplate();
+        (void)fx.soa->profileSnapshot();
+        if (week == 1)
+            heap_week2 = heap_in_use();
+    }
+    const long long growth = heap_in_use() - heap_week2;
+    EXPECT_EQ(fx.soa->closedSlots().count, 6 * sim::kSlotsPerWeek - 1);
+    // A few KiB of slack for allocator rounding; per-slot history
+    // (5 signals x 8 B x 4 weeks of slots) would be ~320 KiB.
+    EXPECT_LE(growth, 4 * 1024) << "heap grew by " << growth << " B";
 }
 
 TEST(Soa, WearChargedThroughGrantExpiry)
