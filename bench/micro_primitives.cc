@@ -173,8 +173,7 @@ BM_TemplateBuildIncremental(benchmark::State &state)
         level += rng.uniform(-4.0, 4.0);
         agg.add(t, level);
         t += sim::kSlot;
-        benchmark::DoNotOptimize(
-            agg.build(core::TemplateStrategy::DailyMed));
+        benchmark::DoNotOptimize(agg.build());
     }
     state.SetItemsProcessed(state.iterations());
 }

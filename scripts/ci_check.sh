@@ -62,6 +62,21 @@ awk "BEGIN { exit !($SIXWEEK_PEAK_RSS_MB <= $SIXWEEK_PEAK_RSS_MB_MAX) }" || {
     exit 1
 }
 
+echo "==== ci_check: Table I determinism (1 vs 4 threads) ===="
+# The Table I comparison runs the PerRack replay with the direct hint
+# path end to end; its stdout must not depend on the thread count.
+TABLE1_T1="$ROOT/build/table1_threads1.txt"
+TABLE1_T4="$ROOT/build/table1_threads4.txt"
+"$ROOT/build/bench/bench_table1_policies" 1 >"$TABLE1_T1"
+"$ROOT/build/bench/bench_table1_policies" 4 >"$TABLE1_T4"
+if ! cmp -s "$TABLE1_T1" "$TABLE1_T4"; then
+    echo "FAIL: bench_table1_policies output differs between 1 and" \
+         "4 threads" >&2
+    diff "$TABLE1_T1" "$TABLE1_T4" >&2 || true
+    exit 1
+fi
+echo "Table I output byte-identical at 1 and 4 threads"
+
 echo "==== ci_check: static analysis ===="
 STATIC_LOG="$(mktemp)"
 if ! "$ROOT/scripts/static_check.sh" "$ROOT/build-static" \

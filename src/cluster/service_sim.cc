@@ -642,34 +642,9 @@ runServiceSim(const ServiceSimConfig &config)
             ++result.faults.recomputesSkipped;
             return;
         }
-        core::RecomputeFaults rf;
-        rf.telemetryAttempts = config.faults.telemetryAttempts;
-        rf.telemetryLost = [&plan, now](int server, int attempt) {
-            return plan.telemetryLost(server, now, attempt);
-        };
-        rf.budgetLost = [&plan, now](int server) {
-            return plan.budgetLost(server, now);
-        };
-        rf.budgetDelay = [&plan, now](int server) {
-            return plan.budgetDelay(server, now);
-        };
-        rf.budgetCorrupt = [&plan, now](int server) {
-            return plan.budgetCorrupted(server, now)
-                ? plan.corruptionKind(server, now)
-                : -1;
-        };
-        auto batch = goa.recompute(now, rf);
-        auto &queue = in_flight[rack_idx];
-        for (auto &pending : batch)
-            queue.push_back(std::move(pending));
-        std::stable_sort(
-            queue.begin() + static_cast<std::ptrdiff_t>(
-                                next_delivery[rack_idx]),
-            queue.end(),
-            [](const core::PendingAssignment &a,
-               const core::PendingAssignment &b) {
-                return a.deliverAt < b.deliverAt;
-            });
+        core::enqueueDeliveries(
+            in_flight[rack_idx], next_delivery[rack_idx],
+            goa.recompute(now, core::recomputeFaultsAt(plan, now)));
     };
 
     simulator.every(config.goaPeriod, [&](sim::Tick now) {

@@ -79,9 +79,21 @@ TraceSimConfig::validate() const
         fail("racksPerRow must be >= 1 (got " +
              std::to_string(racksPerRow) + ")");
     }
-    if (budgetPath != BudgetPath::PerRack && faults.enabled) {
-        fail("hierarchical budget paths do not support fault "
-             "injection (the lockstep recompute has no outage-retry "
+    // randomVmMix places VMs of at least 2 cores, and the replay
+    // tracks each server's VMs in 64-bit masks.
+    const int max_cores =
+        2 * static_cast<int>(FleetState::kMaxVmsPerServer);
+    if (hardware.cores > max_cores) {
+        fail("hardware.cores must be <= " +
+             std::to_string(max_cores) + " (got " +
+             std::to_string(hardware.cores) +
+             "): a server could host more VMs than its " +
+             std::to_string(FleetState::kMaxVmsPerServer) +
+             "-bit VM masks hold");
+    }
+    if (budgetPath == BudgetPath::HierarchyZone && faults.enabled) {
+        fail("budgetPath = HierarchyZone does not support fault "
+             "injection (the zone recompute has no outage-retry "
              "path); use budgetPath = PerRack with faults");
     }
     faults.validate();
@@ -153,13 +165,13 @@ secondsSince(Clock::time_point start)
 /**
  * One rack's build state plus its resumable control loop.
  *
- * The former buildRack/simulateRack pair, reshaped so the loop can
- * pause at recompute boundaries: the PerRack and
- * HierarchyEquivalence paths run build() + advance(end) + finish()
- * in one go (racks fully independent, built and freed inside their
- * chunk), while the HierarchyZone orchestrator keeps every rack
- * resident and alternates parallel advance/boundary phases with the
- * serial zone recompute (see runLockstepZone).
+ * The rack's control loop is resumable so it can pause at zone
+ * recompute boundaries (see runReplay).  A PerRack run has no
+ * boundaries: each rack runs build() + advance(end) + finish() in
+ * one go, built and freed inside its chunk, and recomputes its own
+ * budgets inside advance().  A HierarchyZone run keeps every rack
+ * resident between boundaries, and its budgets come from the zone
+ * (boundaryCollect + boundaryFinishZone).
  *
  * Traces are streamed: build() creates one ServerTraceStream per
  * server and derives the rack limit from a first streaming pass over
@@ -223,8 +235,21 @@ class RackRuntime
   private:
     void stepProlog(sim::Tick t);
     void maybeRecompute(sim::Tick t);
-    void recomputeFaultAware(sim::Tick now);
     void stepMain(sim::Tick t);
+    /**
+     * The per-VM hint walk of server @p s this step: every VM that
+     * wants to overclock this slot, or may still hold a grant, is
+     * checked against its sOA; a VM that wants but holds no grant
+     * goes to @p start(v, request), one that holds a grant it no
+     * longer wants goes to @p stop(v, group).  Eval accounting
+     * follows each VM's dispatch.
+     */
+    template <typename Start, typename Stop>
+    void walkServer(std::size_t s, bool in_eval, Start &&start,
+                    Stop &&stop);
+    /** Wire header of the next hint from server @p s, VM @p v. */
+    core::wire::HintHeader nextHeader(std::size_t s, std::size_t v,
+                                      sim::Tick t);
     /** Stream windows forward until @p slot is materialized. */
     void ensureSlot(std::size_t slot);
     void refillWindow();
@@ -291,8 +316,6 @@ class RackRuntime
     /** This rack's aggregated profile (HierarchyZone exchange
      *  slot). */
     core::ServerProfile aggregate_;
-    /** Per-slot usable row scratch (HierarchyEquivalence). */
-    std::vector<double> usableScratch_;
     /** Refill seconds inside the current timed sim method, so they
      *  are booked as generation, not replay. */
     double pendingRefillS_ = 0.0;
@@ -537,48 +560,6 @@ RackRuntime::stepProlog(sim::Tick t)
 }
 
 void
-RackRuntime::recomputeFaultAware(sim::Tick now)
-{
-    // Fault-aware recompute: telemetry faults during the pull,
-    // budget pushes queued (possibly delayed/corrupted) instead of
-    // applied.
-    if (!plan_.enabled()) {
-        goa_->recompute(now);
-        return;
-    }
-    const sim::FaultPlan &plan = plan_;
-    core::RecomputeFaults rf;
-    rf.telemetryAttempts = config_.faults.telemetryAttempts;
-    rf.telemetryLost = [&plan, now](int server, int attempt) {
-        return plan.telemetryLost(server, now, attempt);
-    };
-    rf.budgetLost = [&plan, now](int server) {
-        return plan.budgetLost(server, now);
-    };
-    rf.budgetDelay = [&plan, now](int server) {
-        return plan.budgetDelay(server, now);
-    };
-    rf.budgetCorrupt = [&plan, now](int server) {
-        return plan.budgetCorrupted(server, now)
-            ? plan.corruptionKind(server, now)
-            : -1;
-    };
-    auto batch = goa_->recompute(now, rf);
-    // Recompute-rate queue growth (weekly, not per-step):
-    // soclint:allow(PERF-001)
-    for (auto &pending : batch)
-        inFlight_.push_back(std::move(pending));
-    std::stable_sort(
-        inFlight_.begin() +
-            static_cast<std::ptrdiff_t>(nextDelivery_),
-        inFlight_.end(),
-        [](const core::PendingAssignment &a,
-           const core::PendingAssignment &b) {
-            return a.deliverAt < b.deliverAt;
-        });
-}
-
-void
 RackRuntime::maybeRecompute(sim::Tick t)
 {
     if (t < nextRecompute_)
@@ -595,19 +576,15 @@ RackRuntime::maybeRecompute(sim::Tick t)
         nextRecompute_ = t + config_.controlStep;
         return;
     }
-    if (config_.budgetPath == BudgetPath::HierarchyEquivalence) {
-        // Hierarchy plumbing with a provably equal budget: the
-        // two-phase pull + splitWeeklyInto over a constant usable
-        // row equals recompute(t)'s splitInto bit for bit (see
-        // BudgetAllocator::splitWeeklyInto).
-        goa_->pullProfiles();
-        usableScratch_.assign(
-            static_cast<std::size_t>(sim::kSlotsPerWeek),
-            rack_->limitWatts().count() *
-                (1.0 - goa_->config().budget.safetyFraction));
-        goa_->recomputeWithBudget(t, usableScratch_);
+    if (plan_.enabled()) {
+        // Fault-aware recompute: telemetry faults during the pull,
+        // budget pushes queued (possibly delayed/corrupted) instead
+        // of applied.
+        core::enqueueDeliveries(
+            inFlight_, nextDelivery_,
+            goa_->recompute(t, core::recomputeFaultsAt(plan_, t)));
     } else {
-        recomputeFaultAware(t);
+        goa_->recompute(t);
     }
     if (outageFirstMissed_ >= 0) {
         out_.recoverySum += t - outageFirstMissed_;
@@ -616,6 +593,73 @@ RackRuntime::maybeRecompute(sim::Tick t)
     }
     nextRecompute_ += config_.recomputePeriod;
 }
+
+// soclint:hot-begin(PERF-001) — the per-VM hint walk of every
+// control step (see stepMain); runs inline on the step, no heap.
+template <typename Start, typename Stop>
+void
+RackRuntime::walkServer(std::size_t s, bool in_eval, Start &&start,
+                        Stop &&stop)
+{
+    power::Server &server = rack_->server(s);
+    const auto &soa = *soas_[s];
+    const auto &mix = mixes_[s];
+    // Only VMs that want to overclock this slot, or that may still
+    // hold an active grant, need per-step processing; for everyone
+    // else the per-VM walk is a no-op.  activeMask_ is a
+    // conservative superset of the truly active grants (bits are
+    // set on a start, cleared when a processed VM turns out
+    // inactive), so no grant can be missed by the union.
+    const std::uint64_t want_mask = fleet_->wantMask(s);
+    std::uint64_t pending = want_mask | activeMask_[s];
+    while (pending != 0) {
+        const int v = std::countr_zero(pending);
+        pending &= pending - 1;
+        const auto bit = std::uint64_t{1} << v;
+        const auto vi = static_cast<std::size_t>(v);
+        const power::GroupId g = groups_[s][vi];
+        const bool want = (want_mask & bit) != 0;
+        const bool active = soa.isOverclockActive(g);
+        if (want && !active) {
+            core::OverclockRequest request;
+            request.groupId = g;
+            request.cores = mix[vi].cores;
+            request.trigger = core::TriggerKind::Metrics;
+            request.duration = config_.requestChunk;
+            request.priority = 1;
+            start(vi, request);
+            activeMask_[s] |= bit;
+        } else if (!want && active) {
+            stop(vi, g);
+            activeMask_[s] &= ~bit;
+        } else if (!active) {
+            activeMask_[s] &= ~bit;
+        }
+
+        if (in_eval && want) {
+            ++out_.wantSteps;
+            const auto *group = server.group(g);
+            const power::FreqMHz eff = group != nullptr
+                ? group->effectiveMHz()
+                : power::kTurboMHz;
+            out_.perf.add(eff / power::kTurboMHz);
+            if (group != nullptr && group->overclocked())
+                ++out_.successSteps;
+        }
+    }
+}
+
+core::wire::HintHeader
+RackRuntime::nextHeader(std::size_t s, std::size_t v, sim::Tick t)
+{
+    core::wire::HintHeader hdr;
+    hdr.server = static_cast<int>(s);
+    hdr.vmId = groups_[s][v];
+    hdr.issuedAt = t;
+    hdr.seq = seq_[s][v]++;
+    return hdr;
+}
+// soclint:hot-end(PERF-001)
 
 void
 RackRuntime::stepMain(sim::Tick t)
@@ -664,17 +708,14 @@ RackRuntime::stepMain(sim::Tick t)
     if (ingress_) {
         // Ingress path (DESIGN.md §12), three phases per step.
         //
-        // Phase 1 — serialize: forge this step's storm frames and
-        // the legitimate want/stop transitions as wire messages,
-        // offering each to the bounded queue.  active_mask is
-        // updated at *offer* time, which keeps it the documented
-        // conservative superset: if a start hint is dropped, the VM
-        // still wants next step and re-offers; a stale bit is
-        // cleared by the !active branch.
+        // Phase 1 — serialize: forge this server's storm frames,
+        // then walk its VMs, offering each start/stop hint to the
+        // bounded queue as a wire frame.  activeMask_ is updated at
+        // *offer* time, which keeps it the documented conservative
+        // superset: if a start hint is dropped, the VM still wants
+        // next step and re-offers; a stale bit is cleared by the
+        // walk's !active branch.
         for (std::size_t s = 0; s < soas_.size(); ++s) {
-            power::Server &server = rack_->server(s);
-            auto &soa = *soas_[s];
-            const auto &mix = mixes_[s];
             if (storm_.enabled()) {
                 storm_.generate(
                     static_cast<int>(s), t,
@@ -682,56 +723,20 @@ RackRuntime::stepMain(sim::Tick t)
                         ingress_->offer(frame, t);
                     });
             }
-            const std::uint64_t want_mask = fleet_->wantMask(s);
-            std::uint64_t pending = want_mask | activeMask_[s];
-            while (pending != 0) {
-                const int v = std::countr_zero(pending);
-                pending &= pending - 1;
-                const auto bit = std::uint64_t{1} << v;
-                const power::GroupId g =
-                    groups_[s][static_cast<std::size_t>(v)];
-                const bool want = (want_mask & bit) != 0;
-                const bool active = soa.isOverclockActive(g);
-                core::wire::HintHeader hdr;
-                hdr.server = static_cast<int>(s);
-                hdr.vmId = g;
-                hdr.issuedAt = t;
-                if (want && !active) {
-                    hdr.seq =
-                        seq_[s][static_cast<std::size_t>(v)]++;
-                    core::OverclockRequest request;
-                    request.groupId = g;
-                    request.cores =
-                        mix[static_cast<std::size_t>(v)].cores;
-                    request.trigger = core::TriggerKind::Metrics;
-                    request.duration = config_.requestChunk;
-                    request.priority = 1;
+            walkServer(
+                s, in_eval,
+                [&](std::size_t v,
+                    const core::OverclockRequest &request) {
                     ingress_->offer(
-                        core::wire::encodeOverclockRequest(hdr,
-                                                           request),
+                        core::wire::encodeOverclockRequest(
+                            nextHeader(s, v, t), request),
                         t);
-                    activeMask_[s] |= bit;
-                } else if (!want && active) {
-                    hdr.seq =
-                        seq_[s][static_cast<std::size_t>(v)]++;
-                    ingress_->offer(
-                        core::wire::encodeStopRequest(hdr), t);
-                    activeMask_[s] &= ~bit;
-                } else if (!active) {
-                    activeMask_[s] &= ~bit;
-                }
-
-                if (in_eval && want) {
-                    ++out_.wantSteps;
-                    const auto *group = server.group(g);
-                    const power::FreqMHz eff = group != nullptr
-                        ? group->effectiveMHz()
-                        : power::kTurboMHz;
-                    out_.perf.add(eff / power::kTurboMHz);
-                    if (group != nullptr && group->overclocked())
-                        ++out_.successSteps;
-                }
-            }
+                },
+                [&](std::size_t v, power::GroupId) {
+                    ingress_->offer(core::wire::encodeStopRequest(
+                                        nextHeader(s, v, t)),
+                                    t);
+                });
         }
 
         // Phase 2 — one batched drain dispatches the surviving
@@ -774,57 +779,22 @@ RackRuntime::stepMain(sim::Tick t)
         // sees this step's surviving hints.
         for (auto &soa : soas_)
             soa->tick(t);
-    } else
-    for (std::size_t s = 0; s < soas_.size(); ++s) {
-        power::Server &server = rack_->server(s);
-        auto &soa = *soas_[s];
-        const auto &mix = mixes_[s];
-        // Only VMs that want to overclock this slot, or that may
-        // still hold an active grant, need per-step processing; for
-        // everyone else the old per-VM walk was a no-op.
-        // active_mask is a conservative superset of the truly
-        // active grants (bits are set on request, cleared when a
-        // processed VM turns out inactive), so no grant can be
-        // missed by the union.
-        const std::uint64_t want_mask = fleet_->wantMask(s);
-        std::uint64_t pending = want_mask | activeMask_[s];
-        while (pending != 0) {
-            const int v = std::countr_zero(pending);
-            pending &= pending - 1;
-            const auto bit = std::uint64_t{1} << v;
-            const power::GroupId g =
-                groups_[s][static_cast<std::size_t>(v)];
-            const bool want = (want_mask & bit) != 0;
-            const bool active = soa.isOverclockActive(g);
-            if (want && !active) {
-                core::OverclockRequest request;
-                request.groupId = g;
-                request.cores =
-                    mix[static_cast<std::size_t>(v)].cores;
-                request.trigger = core::TriggerKind::Metrics;
-                request.duration = config_.requestChunk;
-                request.priority = 1;
-                soa.requestOverclock(request, t);
-                activeMask_[s] |= bit;
-            } else if (!want && active) {
-                soa.stopOverclock(g, t);
-                activeMask_[s] &= ~bit;
-            } else if (!active) {
-                activeMask_[s] &= ~bit;
-            }
-
-            if (in_eval && want) {
-                ++out_.wantSteps;
-                const auto *group = server.group(g);
-                const power::FreqMHz eff = group != nullptr
-                    ? group->effectiveMHz()
-                    : power::kTurboMHz;
-                out_.perf.add(eff / power::kTurboMHz);
-                if (group != nullptr && group->overclocked())
-                    ++out_.successSteps;
-            }
+    } else {
+        // Direct path: each server's hints call its sOA at once,
+        // and the sOA ticks right after its own server's walk.
+        for (std::size_t s = 0; s < soas_.size(); ++s) {
+            auto &soa = *soas_[s];
+            walkServer(
+                s, in_eval,
+                [&](std::size_t,
+                    const core::OverclockRequest &request) {
+                    soa.requestOverclock(request, t);
+                },
+                [&](std::size_t, power::GroupId g) {
+                    soa.stopOverclock(g, t);
+                });
+            soa.tick(t);
         }
-        soa.tick(t);
     }
     const std::uint64_t cap_before = manager_->stats().capEvents;
     manager_->tick(t);
@@ -870,7 +840,7 @@ RackRuntime::advance(sim::Tick until)
     pendingRefillS_ = 0.0;
     for (; t_ < until; t_ += config_.controlStep) {
         stepProlog(t_);
-        if (config_.budgetPath != BudgetPath::HierarchyZone)
+        if (config_.budgetPath == BudgetPath::PerRack)
             maybeRecompute(t_);
         stepMain(t_);
     }
@@ -906,8 +876,8 @@ RackRuntime::boundaryFinishZone(const core::BudgetHierarchy &hier,
     }
     goa_->recomputeWithBudget(t_, usable);
     // Fleet-scale footprint trim: profiles are re-pulled (cheap,
-    // cache-served) at the next boundary; safe because the
-    // hierarchical paths run with faults disabled.
+    // cache-served) at the next boundary; safe because the zone
+    // path runs with faults disabled.
     goa_->releaseProfiles();
     stepMain(t_);
     t_ += config_.controlStep;
@@ -996,8 +966,8 @@ mergeOutcomes(const std::vector<RackOutcome> &outcomes)
     return result;
 }
 
-/** Chunk grain shared by both runners: contiguous rack ranges off
- *  the atomic cursor, sized so each thread claims a few chunks. */
+/** Chunk grain: contiguous rack ranges off the atomic cursor,
+ *  sized so each thread claims a few chunks. */
 std::size_t
 rackGrain(std::size_t n_racks, int threads)
 {
@@ -1006,58 +976,29 @@ rackGrain(std::size_t n_racks, int threads)
 }
 
 /**
- * Independent-racks runner (PerRack and HierarchyEquivalence):
- * each rack is built, simulated and *freed* inside its chunk, so
- * memory stays O(racks in flight x streamWindow), not O(fleet x
- * horizon) — what makes the 7.1k-rack runs of EXPERIMENTS.md
- * feasible.  Outcomes live in per-rack slots merged in rack order,
+ * The replay runner.  Racks advance in parallel between zone
+ * recompute boundaries; each boundary runs three phases — parallel
+ * advance + profile pull + per-rack aggregation, the *serial* zone
+ * recompute (aggregate exchange in rack order + dirty-tracked
+ * hierarchy re-split, timed as hierSeconds), and the parallel
+ * budget push + boundary step — and a last parallel phase runs
+ * every rack to the end, finishes and frees it.
+ *
+ * A rack is built in the first phase that touches it.  A PerRack
+ * run has no boundaries (each gOA recomputes its own rack inside
+ * advance), so its one phase builds, runs, finishes and frees each
+ * rack inside its chunk: memory stays O(racks in flight x
+ * streamWindow), not O(fleet x horizon) — what makes the 7.1k-rack
+ * runs of EXPERIMENTS.md feasible.  Every phase writes only
+ * rack-owned state (the hierarchy is written solely by the serial
+ * phase) and outcomes live in per-rack slots merged in rack order,
  * so neither the chunk grain nor the thread count can affect
  * results.
  */
 TraceSimResult
-runIndependent(const TraceSimConfig &config,
-               const power::PowerModel &model,
-               const core::SoaConfig &soa_cfg)
-{
-    const std::size_t n_racks =
-        static_cast<std::size_t>(std::max(0, config.racks));
-    const int threads = std::min<int>(
-        sim::ThreadPool::resolveThreads(config.threads),
-        std::max<int>(1, config.racks));
-    sim::ThreadPool pool(threads);
-
-    std::vector<RackOutcome> outcomes(n_racks);
-    const sim::Tick end = config.warmup + config.duration;
-    pool.parallelForChunked(
-        n_racks, rackGrain(n_racks, threads),
-        [&](std::size_t begin, std::size_t chunk_end) {
-            for (std::size_t r = begin; r < chunk_end; ++r) {
-                RackRuntime runtime(config, model, soa_cfg,
-                                    static_cast<int>(r),
-                                    outcomes[r]);
-                runtime.build();
-                runtime.advance(end);
-                runtime.finish();
-            }
-        });
-    return mergeOutcomes(outcomes);
-}
-
-/**
- * Lockstep runner (HierarchyZone): every rack stays resident;
- * between recompute boundaries the racks advance in parallel, then
- * each boundary runs three phases — parallel profile pull +
- * per-rack aggregation, the *serial* zone recompute (aggregate
- * exchange in rack order + dirty-tracked hierarchy re-split, timed
- * as hierSeconds), and the parallel budget push + boundary step.
- * Every phase writes only rack-owned state (the hierarchy is
- * written solely by the serial phase), so results are bit-identical
- * at any thread count, like the independent runner.
- */
-TraceSimResult
-runLockstepZone(const TraceSimConfig &config,
-                const power::PowerModel &model,
-                const core::SoaConfig &soa_cfg)
+runReplay(const TraceSimConfig &config,
+          const power::PowerModel &model,
+          const core::SoaConfig &soa_cfg)
 {
     const std::size_t n_racks =
         static_cast<std::size_t>(std::max(0, config.racks));
@@ -1069,21 +1010,15 @@ runLockstepZone(const TraceSimConfig &config,
 
     std::vector<RackOutcome> outcomes(n_racks);
     std::vector<std::unique_ptr<RackRuntime>> runtimes(n_racks);
-    pool.parallelForChunked(
-        n_racks, grain,
-        [&](std::size_t begin, std::size_t chunk_end) {
-            for (std::size_t r = begin; r < chunk_end; ++r) {
-                runtimes[r] = std::make_unique<RackRuntime>(
-                    config, model, soa_cfg, static_cast<int>(r),
-                    outcomes[r]);
-                runtimes[r]->build();
-            }
-        });
-
-    // Zone limit: the sum of the rack limits, in rack order.
-    power::Watts zone_limit{0.0};
-    for (const auto &runtime : runtimes)
-        zone_limit += runtime->limitWatts();
+    auto runtime = [&](std::size_t r) -> RackRuntime & {
+        if (!runtimes[r]) {
+            runtimes[r] = std::make_unique<RackRuntime>(
+                config, model, soa_cfg, static_cast<int>(r),
+                outcomes[r]);
+            runtimes[r]->build();
+        }
+        return *runtimes[r];
+    };
 
     core::HierarchyConfig hier_cfg;
     hier_cfg.racksPerRow = config.racksPerRow;
@@ -1093,15 +1028,18 @@ runLockstepZone(const TraceSimConfig &config,
 
     const sim::Tick end = config.warmup + config.duration;
     const sim::Tick cs = config.controlStep;
-    // The recompute schedule every rack shares: due times start at
-    // warmup and advance by recomputePeriod per executed recompute,
-    // executing at the first control step at/after the due time —
-    // exactly the per-rack `t >= next_recompute` cadence.
+    // The zone recompute schedule every rack shares: due times
+    // start at warmup and advance by recomputePeriod per executed
+    // recompute, executing at the first control step at/after the
+    // due time — exactly the per-rack `t >= next_recompute`
+    // cadence.  PerRack runs have no zone boundaries.
+    const bool zone = config.budgetPath == BudgetPath::HierarchyZone;
     sim::Tick sched = config.warmup;
     sim::Tick prev_boundary = -cs;
+    power::Watts zone_limit{0.0};
     double hier_seconds = 0.0;
     std::uint64_t hier_recomputes = 0;
-    for (;;) {
+    while (zone) {
         const sim::Tick due_step = ((sched + cs - 1) / cs) * cs;
         const sim::Tick boundary =
             std::max(due_step, prev_boundary + cs);
@@ -1113,22 +1051,25 @@ runLockstepZone(const TraceSimConfig &config,
             [&](std::size_t begin, std::size_t chunk_end) {
                 core::ProfileAggregator aggregator;
                 for (std::size_t r = begin; r < chunk_end; ++r) {
-                    runtimes[r]->advance(boundary);
-                    runtimes[r]->boundaryCollect(boundary,
-                                                 aggregator);
+                    RackRuntime &rack = runtime(r);
+                    rack.advance(boundary);
+                    rack.boundaryCollect(boundary, aggregator);
                 }
             });
 
-        {
-            const auto t0 = Clock::now();
-            for (std::size_t r = 0; r < n_racks; ++r)
-                hierarchy.exchangeRackAggregate(
-                    static_cast<int>(r),
-                    runtimes[r]->aggregateSlot());
-            hierarchy.recompute(zone_limit);
-            hier_seconds += secondsSince(t0);
-            ++hier_recomputes;
+        if (hier_recomputes == 0) {
+            // Zone limit: the sum of the rack limits, in rack
+            // order (every rack is built by now).
+            for (const auto &rack : runtimes)
+                zone_limit += rack->limitWatts();
         }
+        const auto t0 = Clock::now();
+        for (std::size_t r = 0; r < n_racks; ++r)
+            hierarchy.exchangeRackAggregate(
+                static_cast<int>(r), runtimes[r]->aggregateSlot());
+        hierarchy.recompute(zone_limit);
+        hier_seconds += secondsSince(t0);
+        ++hier_recomputes;
 
         pool.parallelForChunked(
             n_racks, grain,
@@ -1147,8 +1088,9 @@ runLockstepZone(const TraceSimConfig &config,
         n_racks, grain,
         [&](std::size_t begin, std::size_t chunk_end) {
             for (std::size_t r = begin; r < chunk_end; ++r) {
-                runtimes[r]->advance(end);
-                runtimes[r]->finish();
+                RackRuntime &rack = runtime(r);
+                rack.advance(end);
+                rack.finish();
                 runtimes[r].reset();
             }
         });
@@ -1178,9 +1120,7 @@ runTraceSim(const TraceSimConfig &config)
     if (config.ingress.enabled)
         soa_cfg.flapHoldoff = config.ingress.flapHoldoff;
 
-    if (config.budgetPath == BudgetPath::HierarchyZone)
-        return runLockstepZone(config, model, soa_cfg);
-    return runIndependent(config, model, soa_cfg);
+    return runReplay(config, model, soa_cfg);
 }
 
 std::vector<TraceSimResult>

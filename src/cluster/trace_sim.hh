@@ -13,6 +13,11 @@
  * overclocking success rate, capping penalty on non-overclocked
  * VMs, and normalized performance (mean effective frequency of
  * overclock-seeking VMs over max turbo).
+ *
+ * One runner drives both budget paths (DESIGN.md §13): racks
+ * advance in parallel between zone recompute boundaries, of which a
+ * PerRack run has none.  One per-VM hint walk feeds either the sOAs
+ * directly or the wire ingress.
  */
 
 #ifndef SOC_CLUSTER_TRACE_SIM_HH
@@ -43,15 +48,6 @@ enum class BudgetPath {
     /** Each rack's gOA splits its own limit flat — the seed
      *  behavior, always available. */
     PerRack,
-    /**
-     * The hierarchical two-phase recompute (pullProfiles +
-     * recomputeWithBudget) fed a constant usable row equal to the
-     * rack limit minus the safety margin: exercises the hierarchy
-     * plumbing while staying bit-identical to PerRack (the
-     * splitWeeklyInto equivalence guarantee) — the verification
-     * mode for small fleets.
-     */
-    HierarchyEquivalence,
     /**
      * Full rack -> row -> zone tier: racks advance in lockstep
      * between recompute boundaries; at each boundary every gOA's
@@ -122,10 +118,7 @@ struct TraceSimConfig {
      * Budget recompute topology.  PerRack (default) keeps every
      * result bit-identical to the seed; HierarchyZone is the
      * paper-scale path (racks/s gated at 7.1k racks by
-     * bench_check.sh); HierarchyEquivalence runs the hierarchy
-     * plumbing with a budget provably equal to PerRack's, for
-     * equivalence tests.  The hierarchical paths reject
-     * faults.enabled (validate()).
+     * bench_check.sh) and rejects faults.enabled (validate()).
      */
     BudgetPath budgetPath = BudgetPath::PerRack;
     /** Racks per row of the HierarchyZone tier. */
@@ -158,8 +151,10 @@ struct TraceSimConfig {
      * message (std::invalid_argument) instead of dividing by zero
      * or looping forever deep inside the run: racks and
      * serversPerRack must be >= 1, limitFactor > 0, controlStep > 0,
-     * warmup/duration non-negative with a positive sum, and the
-     * fault knobs in range.
+     * warmup/duration non-negative with a positive sum,
+     * hardware.cores at most 128 (VMs take at least 2 cores and a
+     * server's VMs live in 64-bit masks), and the fault knobs in
+     * range.
      */
     void validate() const;
 };

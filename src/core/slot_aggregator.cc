@@ -118,10 +118,6 @@ SlotAggregator::indexSample(sim::Tick t, double value)
     auto &bucket = sim::isWeekend(t) ? weekend_[sim::slotOfDay(t)]
                                      : weekday_[sim::slotOfDay(t)];
     bucket.insert(value);
-    const int slot_of_week =
-        static_cast<int>((t % sim::kWeek) / sim::kSlot);
-    weeklyLatest_[slot_of_week] = value;
-    weeklyTick_[slot_of_week] = t;
 }
 
 void
@@ -134,15 +130,10 @@ SlotAggregator::buildIndex()
                     SortedBag{});
     weekend_.assign(static_cast<std::size_t>(sim::kSlotsPerDay),
                     SortedBag{});
-    weeklyLatest_.assign(
-        static_cast<std::size_t>(sim::kSlotsPerWeek), 0.0);
-    weeklyTick_.assign(static_cast<std::size_t>(sim::kSlotsPerWeek),
-                       sim::Tick{-1});
-    // Replaying the ring in tick order leaves the indexed
-    // structures exactly as if they had been maintained from the
-    // retained samples all along: bag contents are multisets (the
-    // sorted-body/pending split is representation only), and
-    // latest-wins per slot-of-week matches the arrival order.
+    // Replaying the ring leaves the indexed structures exactly as
+    // if they had been maintained from the retained samples all
+    // along: bag contents are multisets (the sorted-body/pending
+    // split is representation only).
     sim::Tick t = firstTick_;
     for (const double value : samples_) {
         indexSample(t, value);
@@ -164,12 +155,6 @@ SlotAggregator::evictOlderThan(sim::Tick cutoff)
                 ? weekend_[sim::slotOfDay(t)]
                 : weekday_[sim::slotOfDay(t)];
             bucket.erase(value);
-            const int slot_of_week =
-                static_cast<int>((t % sim::kWeek) / sim::kSlot);
-            // Samples leave in tick order, so when the latest value
-            // of a slot-of-week is evicted no older one can remain.
-            if (weeklyTick_[slot_of_week] == t)
-                weeklyTick_[slot_of_week] = -1;
         }
         ++version_;
     }
@@ -188,37 +173,27 @@ SlotAggregator::clear()
     all_.pending = {};
     weekday_ = {};
     weekend_ = {};
-    weeklyLatest_ = {};
-    weeklyTick_ = {};
     ++version_;
 }
 
 const ProfileTemplate &
-SlotAggregator::build(TemplateStrategy strategy) const
+SlotAggregator::build() const
 {
-    auto &entry = cache_[static_cast<std::size_t>(strategy)];
-    if (!entry.valid || entry.version != version_) {
-        entry.tmpl = assemble(strategy);
-        entry.version = version_;
-        entry.valid = true;
+    if (!cacheValid_ || cacheVersion_ != version_) {
+        cache_ = indexed_ ? assembleFromIndex() : assembleFromRing();
+        cacheVersion_ = version_;
+        cacheValid_ = true;
         ++rebuilds_;
     }
-    return entry.tmpl;
+    return cache_;
 }
 
 ProfileTemplate
-SlotAggregator::assemble(TemplateStrategy strategy) const
+SlotAggregator::assembleFromRing() const
 {
-    return indexed_ ? assembleFromIndex(strategy)
-                    : assembleFromRing(strategy);
-}
-
-ProfileTemplate
-SlotAggregator::assembleFromRing(TemplateStrategy strategy) const
-{
-    // Field-for-field mirror of ProfileTemplate::build over the
-    // retained samples; the equivalence tests hold the two
-    // bit-identical for every strategy.
+    // Field-for-field mirror of ProfileTemplate::build(DailyMed)
+    // over the retained samples; the equivalence tests hold the two
+    // bit-identical.
     //
     // Scratch is thread-local: contents are fully rewritten on
     // every assemble, so the result is a pure function of samples_
@@ -230,142 +205,72 @@ SlotAggregator::assembleFromRing(TemplateStrategy strategy) const
     // retained slot per aggregator — the dominant share of the
     // paper-scale footprint before this layout.
     ProfileTemplate out;
-    out.strategy_ = strategy;
+    out.strategy_ = TemplateStrategy::DailyMed;
     if (empty())
         return out;
 
-    // All retained values, sorted: FlatMed/FlatMax directly, and
-    // the empty-bucket fallback median of Weekly/Daily*.
+    // All retained values, sorted: the empty-bucket fallback median.
     thread_local std::vector<double> all_sorted;
     all_sorted.assign(samples_.begin(), samples_.end());
     std::sort(all_sorted.begin(), all_sorted.end());
 
-    switch (strategy) {
-      case TemplateStrategy::FlatMed:
-        out.flatValue_ = sortedMedian(all_sorted);
-        return out;
-      case TemplateStrategy::FlatMax:
-        out.flatValue_ = all_sorted.back();
-        return out;
-      case TemplateStrategy::Weekly: {
-        // Latest retained value per slot-of-week: samples_ is in
-        // tick order, so a forward scan leaves each slot holding
-        // its newest retained sample.
-        thread_local std::vector<double> latest;
-        thread_local std::vector<signed char> filled;
-        latest.assign(static_cast<std::size_t>(sim::kSlotsPerWeek),
-                      0.0);
-        filled.assign(static_cast<std::size_t>(sim::kSlotsPerWeek),
-                      0);
-        sim::Tick t = firstTick_;
-        for (const double value : samples_) {
-            const auto slot = static_cast<std::size_t>(
-                (t % sim::kWeek) / sim::kSlot);
-            latest[slot] = value;
-            filled[slot] = 1;
-            t += sim::kSlot;
-        }
-        const double fallback = sortedMedian(all_sorted);
-        out.weekly_.assign(sim::kSlotsPerWeek, 0.0);
-        for (int s = 0; s < sim::kSlotsPerWeek; ++s) {
-            out.weekly_[s] = filled[static_cast<std::size_t>(s)]
-                ? latest[static_cast<std::size_t>(s)]
-                : fallback;
-        }
-        return out;
-      }
-      case TemplateStrategy::DailyMed:
-      case TemplateStrategy::DailyMax: {
-        const bool use_max = strategy == TemplateStrategy::DailyMax;
-        // Scatter the ring into per-(weekday|weekend)×slot buckets
-        // in arrival order, then sort each bucket: the same sorted
-        // arrays the batch builder derives, at build time instead
-        // of incrementally.
-        thread_local std::vector<std::vector<double>> weekday;
-        thread_local std::vector<std::vector<double>> weekend;
-        weekday.resize(static_cast<std::size_t>(sim::kSlotsPerDay));
-        weekend.resize(static_cast<std::size_t>(sim::kSlotsPerDay));
-        for (auto &bucket : weekday)
-            bucket.clear();
-        for (auto &bucket : weekend)
-            bucket.clear();
-        sim::Tick t = firstTick_;
-        for (const double value : samples_) {
-            const auto slot =
-                static_cast<std::size_t>(sim::slotOfDay(t));
-            (sim::isWeekend(t) ? weekend : weekday)[slot].push_back(
-                value);
-            t += sim::kSlot;
-        }
-        const double fallback = sortedMedian(all_sorted);
-        auto aggregate = [use_max](std::vector<double> &bucket,
-                                   double fb) {
-            if (bucket.empty())
-                return fb;
-            std::sort(bucket.begin(), bucket.end());
-            return use_max ? bucket.back() : sortedMedian(bucket);
-        };
-        out.weekday_.resize(sim::kSlotsPerDay);
-        out.weekend_.resize(sim::kSlotsPerDay);
-        for (int s = 0; s < sim::kSlotsPerDay; ++s) {
-            const auto slot = static_cast<std::size_t>(s);
-            out.weekday_[s] = aggregate(weekday[slot], fallback);
-            out.weekend_[s] =
-                aggregate(weekend[slot], out.weekday_[s]);
-        }
-        return out;
-      }
+    // Scatter the ring into per-(weekday|weekend)×slot buckets in
+    // arrival order, then sort each bucket: the same sorted arrays
+    // the batch builder derives, at build time instead of
+    // incrementally.
+    thread_local std::vector<std::vector<double>> weekday;
+    thread_local std::vector<std::vector<double>> weekend;
+    weekday.resize(static_cast<std::size_t>(sim::kSlotsPerDay));
+    weekend.resize(static_cast<std::size_t>(sim::kSlotsPerDay));
+    for (auto &bucket : weekday)
+        bucket.clear();
+    for (auto &bucket : weekend)
+        bucket.clear();
+    sim::Tick t = firstTick_;
+    for (const double value : samples_) {
+        const auto slot = static_cast<std::size_t>(sim::slotOfDay(t));
+        (sim::isWeekend(t) ? weekend : weekday)[slot].push_back(
+            value);
+        t += sim::kSlot;
+    }
+    const double fallback = sortedMedian(all_sorted);
+    auto aggregate = [](std::vector<double> &bucket, double fb) {
+        if (bucket.empty())
+            return fb;
+        std::sort(bucket.begin(), bucket.end());
+        return sortedMedian(bucket);
+    };
+    out.weekday_.resize(sim::kSlotsPerDay);
+    out.weekend_.resize(sim::kSlotsPerDay);
+    for (int s = 0; s < sim::kSlotsPerDay; ++s) {
+        const auto slot = static_cast<std::size_t>(s);
+        out.weekday_[s] = aggregate(weekday[slot], fallback);
+        out.weekend_[s] = aggregate(weekend[slot], out.weekday_[s]);
     }
     return out;
 }
 
 ProfileTemplate
-SlotAggregator::assembleFromIndex(TemplateStrategy strategy) const
+SlotAggregator::assembleFromIndex() const
 {
-    // Same mirror of ProfileTemplate::build, read from the
+    // Same mirror of ProfileTemplate::build(DailyMed), read from the
     // incrementally maintained bags: every bag read flushes first,
-    // so medians/maxes come off the same sorted multisets the
-    // ring-mode scatter would produce.
+    // so medians come off the same sorted multisets the ring-mode
+    // scatter would produce.
     ProfileTemplate out;
-    out.strategy_ = strategy;
+    out.strategy_ = TemplateStrategy::DailyMed;
     if (empty())
         return out;
 
-    switch (strategy) {
-      case TemplateStrategy::FlatMed:
-        out.flatValue_ = all_.median();
-        return out;
-      case TemplateStrategy::FlatMax:
-        out.flatValue_ = all_.max();
-        return out;
-      case TemplateStrategy::Weekly: {
-        out.weekly_.assign(sim::kSlotsPerWeek, 0.0);
-        const double fallback = all_.median();
-        for (int s = 0; s < sim::kSlotsPerWeek; ++s) {
-            out.weekly_[s] =
-                weeklyTick_[s] >= 0 ? weeklyLatest_[s] : fallback;
-        }
-        return out;
-      }
-      case TemplateStrategy::DailyMed:
-      case TemplateStrategy::DailyMax: {
-        const bool use_max = strategy == TemplateStrategy::DailyMax;
-        auto aggregate = [use_max](const SortedBag &bucket,
-                                   double fallback) {
-            if (bucket.empty())
-                return fallback;
-            return use_max ? bucket.max() : bucket.median();
-        };
-        const double fallback = all_.median();
-        out.weekday_.resize(sim::kSlotsPerDay);
-        out.weekend_.resize(sim::kSlotsPerDay);
-        for (int s = 0; s < sim::kSlotsPerDay; ++s) {
-            out.weekday_[s] = aggregate(weekday_[s], fallback);
-            out.weekend_[s] =
-                aggregate(weekend_[s], out.weekday_[s]);
-        }
-        return out;
-      }
+    auto aggregate = [](const SortedBag &bucket, double fallback) {
+        return bucket.empty() ? fallback : bucket.median();
+    };
+    const double fallback = all_.median();
+    out.weekday_.resize(sim::kSlotsPerDay);
+    out.weekend_.resize(sim::kSlotsPerDay);
+    for (int s = 0; s < sim::kSlotsPerDay; ++s) {
+        out.weekday_[s] = aggregate(weekday_[s], fallback);
+        out.weekend_[s] = aggregate(weekend_[s], out.weekday_[s]);
     }
     return out;
 }

@@ -1,7 +1,11 @@
 /**
  * @file
  * Incremental, exact power-template maintenance (§IV-B DailyMed
- * aggregation made an always-on path).
+ * aggregation made an always-on path).  The online agents only ever
+ * ask for DailyMed templates, so that is the one strategy this
+ * aggregator assembles; the other four strategies exist only in the
+ * batch ProfileTemplate::build (Fig. 15 and the reference the tests
+ * compare against).
  *
  * ProfileTemplate::build scans a server's *entire* telemetry history
  * on every call: with weekly recomputes over an unbounded history
@@ -13,7 +17,7 @@
  *    state): the only per-sample state is a window-bounded
  *    arrival-order ring of values — 8 B per retained slot, the
  *    ticks being implied by the front sample's tick and the slot
- *    stride; build(strategy) scatters it into thread-local bucket
+ *    stride; build() scatters it into thread-local bucket
  *    scratch and sorts at build time.  An
  *    earlier design maintained per-(weekday|weekend)×slot sorted
  *    buckets plus a global sorted bag incrementally on every add();
@@ -24,18 +28,18 @@
  *  - **Indexed mode** (retention beyond kIndexThreshold slots —
  *    unbounded or multi-week windows): the ring is replayed once
  *    into the classic incremental structures (sorted bag per
- *    bucket, global sorted bag, latest-per-slot-of-week), and
+ *    bucket, global sorted bag), and
  *    add()/evictions maintain them from then on, so build() stays
  *    O(slots) no matter how long the history grows — the
  *    recompute-vs-horizon bench gates this.
  *
  * Both modes assemble templates **bit-identical** to
- * ProfileTemplate::build over the retained history for all five
- * strategies — enforced by test, so the mode switch is a pure
- * representation change, never a behavior change.
+ * ProfileTemplate::build(DailyMed) over the retained history —
+ * enforced by test, so the mode switch is a pure representation
+ * change, never a behavior change.
  *
  * A version counter increments on every accepted sample (and every
- * eviction); build() caches the assembled template per strategy and
+ * eviction); build() caches the assembled template and
  * returns it untouched while the version is unchanged, which makes
  * back-to-back gOA recomputes with no newly closed slot O(1).
  *
@@ -56,7 +60,6 @@
 #ifndef SOC_CORE_SLOT_AGGREGATOR_HH
 #define SOC_CORE_SLOT_AGGREGATOR_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -71,7 +74,7 @@ namespace core
 {
 
 /**
- * Exact incremental slot aggregation with per-strategy template
+ * Exact incremental DailyMed slot aggregation with template
  * caching over a contiguous slot stream, stored as a value-only
  * ring.  Not thread-safe; each sOA owns its aggregators (they are
  * its only telemetry history).  (Ring-mode assembly uses
@@ -127,12 +130,12 @@ class SlotAggregator
     std::uint64_t version() const { return version_; }
 
     /**
-     * Template over the retained samples, bit-identical to
-     * ProfileTemplate::build(strategy, retained history).  Cached:
+     * DailyMed template over the retained samples, bit-identical to
+     * ProfileTemplate::build(DailyMed, retained history).  Cached:
      * repeated calls at an unchanged version return the same object
      * without rebuilding.
      */
-    const ProfileTemplate &build(TemplateStrategy strategy) const;
+    const ProfileTemplate &build() const;
 
     /** Cache misses so far (tests assert cache-hit behavior). */
     std::uint64_t rebuildCount() const { return rebuilds_; }
@@ -146,7 +149,7 @@ class SlotAggregator
      * that used to cost O(bag) per sample) or when an ordered read
      * needs it.  The vectors are mutable because flushing is a pure
      * representation change: the multiset the bag denotes — and
-     * thus every median()/max() — is identical before and after.
+     * thus every median() — is identical before and after.
      */
     struct SortedBag {
         /** Sorted body. */
@@ -177,12 +180,6 @@ class SlotAggregator
         }
         /** Matches sim::median bit for bit. */
         double median() const;
-        /** Matches *std::max_element over the same multiset. */
-        double max() const
-        {
-            flush();
-            return values.back();
-        }
 
       private:
         void flushPending() const;
@@ -193,10 +190,8 @@ class SlotAggregator
     void indexSample(sim::Tick t, double value);
     /** Replay the ring into the indexed structures (mode switch). */
     void buildIndex();
-    ProfileTemplate assemble(TemplateStrategy strategy) const;
-    ProfileTemplate assembleFromRing(TemplateStrategy strategy) const;
-    ProfileTemplate assembleFromIndex(TemplateStrategy strategy)
-        const;
+    ProfileTemplate assembleFromRing() const;
+    ProfileTemplate assembleFromIndex() const;
 
     sim::Tick window_;
     std::uint64_t version_ = 0;
@@ -222,17 +217,11 @@ class SlotAggregator
     SortedBag all_;
     std::vector<SortedBag> weekday_; // kSlotsPerDay buckets
     std::vector<SortedBag> weekend_; // kSlotsPerDay buckets
-    /** Most recent retained value per slot-of-week (Weekly). */
-    std::vector<double> weeklyLatest_; // kSlotsPerWeek
-    /** Tick that wrote weeklyLatest_[s]; -1 when unfilled. */
-    std::vector<sim::Tick> weeklyTick_; // kSlotsPerWeek
 
-    struct CacheEntry {
-        ProfileTemplate tmpl;
-        std::uint64_t version = 0;
-        bool valid = false;
-    };
-    mutable std::array<CacheEntry, 5> cache_;
+    /** Last assembled template and the version it was built at. */
+    mutable ProfileTemplate cache_;
+    mutable std::uint64_t cacheVersion_ = 0;
+    mutable bool cacheValid_ = false;
     mutable std::uint64_t rebuilds_ = 0;
 };
 

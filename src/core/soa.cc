@@ -853,35 +853,34 @@ ServerOverclockingAgent::crashRestart(sim::Tick now)
 }
 
 void
-ServerOverclockingAgent::refreshOwnTemplate(TemplateStrategy strategy)
+ServerOverclockingAgent::refreshOwnTemplate()
 {
     if (regularAgg_.empty())
         return;
-    if (ownTemplateValid_ && strategy == ownPowerStrategy_ &&
+    if (ownTemplateValid_ &&
         regularAgg_.version() == ownPowerVersion_) {
         // No slot closed since the last refresh: the template is
         // already current, leave it untouched.
         ++stats_.templateCacheHits;
         return;
     }
-    ownPower_ = regularAgg_.build(strategy);
-    ownPowerStrategy_ = strategy;
+    ownPower_ = regularAgg_.build();
     ownPowerVersion_ = regularAgg_.version();
     ownTemplateValid_ = true;
     ++stats_.templateRebuilds;
 }
 
 ServerProfile
-ServerOverclockingAgent::buildProfile(TemplateStrategy strategy)
+ServerOverclockingAgent::buildProfile()
 {
     const std::uint64_t misses_before = powerAgg_.rebuildCount() +
         utilAgg_.rebuildCount() + grantedCoresAgg_.rebuildCount() +
         requestedCoresAgg_.rebuildCount();
     ServerProfile profile;
-    profile.power = powerAgg_.build(strategy);
-    profile.utilization = utilAgg_.build(strategy);
-    profile.overclockedCores = grantedCoresAgg_.build(strategy);
-    profile.requestedCores = requestedCoresAgg_.build(strategy);
+    profile.power = powerAgg_.build();
+    profile.utilization = utilAgg_.build();
+    profile.overclockedCores = grantedCoresAgg_.build();
+    profile.requestedCores = requestedCoresAgg_.build();
     const std::uint64_t misses = powerAgg_.rebuildCount() +
         utilAgg_.rebuildCount() + grantedCoresAgg_.rebuildCount() +
         requestedCoresAgg_.rebuildCount() - misses_before;
@@ -891,19 +890,17 @@ ServerOverclockingAgent::buildProfile(TemplateStrategy strategy)
 }
 
 const ServerProfile &
-ServerOverclockingAgent::profileSnapshot(TemplateStrategy strategy)
+ServerOverclockingAgent::profileSnapshot()
 {
-    refreshOwnTemplate(strategy);
+    refreshOwnTemplate();
     // Versions only ever increment, so their sum is a monotone key
     // for "any telemetry slot closed since the last snapshot".
     const std::uint64_t version = powerAgg_.version() +
         utilAgg_.version() + grantedCoresAgg_.version() +
         requestedCoresAgg_.version();
     if (!profileSnapshotValid_ ||
-        strategy != profileSnapshotStrategy_ ||
         version != profileSnapshotVersion_) {
-        profileSnapshot_ = buildProfile(strategy);
-        profileSnapshotStrategy_ = strategy;
+        profileSnapshot_ = buildProfile();
         profileSnapshotVersion_ = version;
         profileSnapshotValid_ = true;
     }

@@ -21,7 +21,8 @@
  *    global WI agent `exhaustionWindow` ahead so scale-out can
  *    happen before overclocking disappears (Fig. 11);
  *  - collects the power/utilization/overclock telemetry the gOA
- *    aggregates into templates and heterogeneous budgets.  Each
+ *    aggregates into DailyMed templates (the one strategy the
+ *    agents use online) and heterogeneous budgets.  Each
  *    closed 5-minute slot goes straight into the SlotAggregators
  *    (bounded by SoaConfig::templateWindow); the agent itself keeps
  *    only the closed-slot count and the last slot's averages, so
@@ -312,13 +313,12 @@ class ServerOverclockingAgent : public power::RackPowerListener
     const ClosedSlots &closedSlots() const { return closed_; }
 
     /**
-     * Build this server's profile from the collected telemetry.
-     * Served from the slot aggregators: O(kSlotsPerDay) per
+     * Build this server's DailyMed profile from the collected
+     * telemetry.  Served from the slot aggregators: O(kSlotsPerDay) per
      * template on a cache miss, O(kSlotsPerDay) copies on a hit
      * (no history scan either way).
      */
-    ServerProfile buildProfile(TemplateStrategy strategy =
-                                   TemplateStrategy::DailyMed);
+    ServerProfile buildProfile();
 
     /**
      * Snapshot read of this server's profile for the gOA recompute
@@ -329,19 +329,16 @@ class ServerOverclockingAgent : public power::RackPowerListener
      * (or allocating) anything, so budget recompute never contends
      * with hint ingestion for the telemetry state.
      */
-    const ServerProfile &profileSnapshot(
-        TemplateStrategy strategy = TemplateStrategy::DailyMed);
+    const ServerProfile &profileSnapshot();
 
     /**
      * Rebuild the agent's own power template from its history; used
      * for admission look-ahead and exhaustion prediction.  The gOA
      * triggers this on its periodic recompute.  When no slot has
-     * closed since the last refresh with the same strategy, the
-     * cached template is kept untouched (counted in
-     * stats().templateCacheHits).
+     * closed since the last refresh, the cached template is kept
+     * untouched (counted in stats().templateCacheHits).
      */
-    void refreshOwnTemplate(TemplateStrategy strategy =
-                                TemplateStrategy::DailyMed);
+    void refreshOwnTemplate();
 
     /** Remaining lifetime budget (core-time) in this epoch. */
     sim::Tick lifetimeRemaining(sim::Tick now)
@@ -432,9 +429,8 @@ class ServerOverclockingAgent : public power::RackPowerListener
     std::string lastBudgetReject_;
     ProfileTemplate ownPower_;
     bool ownTemplateValid_ = false;
-    /** Aggregator version/strategy ownPower_ was assembled from. */
+    /** Aggregator version ownPower_ was assembled from. */
     std::uint64_t ownPowerVersion_ = 0;
-    TemplateStrategy ownPowerStrategy_ = TemplateStrategy::DailyMed;
     std::function<power::Watts(power::Watts, sim::Tick)> sensor_;
     WearJournal journal_;
 
@@ -459,11 +455,9 @@ class ServerOverclockingAgent : public power::RackPowerListener
      *  window (ordered per DET-003; empty while flapHoldoff == 0). */
     std::map<int, sim::Tick> lastStopAt_;
     /** profileSnapshot cache: the assembled profile plus the
-     *  (strategy, aggregator-version) key it was built under. */
+     *  aggregator-version key it was built under. */
     ServerProfile profileSnapshot_;
     bool profileSnapshotValid_ = false;
-    TemplateStrategy profileSnapshotStrategy_ =
-        TemplateStrategy::DailyMed;
     std::uint64_t profileSnapshotVersion_ = 0;
     /** Until when a power-based denial keeps the agent "constrained"
      *  for exploration purposes. */

@@ -220,6 +220,12 @@ TEST(ChaosValidation, TraceSimConfigRejectsNonsense)
     expect_throws([](TraceSimConfig &c) {
         c.faults.telemetryLossProb = 2.0;
     });
+    // VMs take at least 2 cores and the per-server VM masks are 64
+    // bits wide, so more than 128 cores could overflow them.
+    expect_throws([](TraceSimConfig &c) { c.hardware.cores = 129; });
+    TraceSimConfig widest;
+    widest.hardware.cores = 128;
+    EXPECT_NO_THROW(widest.validate());
     EXPECT_NO_THROW(TraceSimConfig{}.validate());
 
     // The entry point itself refuses to run a bad config.

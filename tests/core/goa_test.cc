@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/goa.hh"
 
 using namespace soc;
@@ -106,4 +108,53 @@ TEST(Goa, RecomputeRefreshesOwnTemplates)
             soa->tick(t);
     fx.goa.recompute(sim::kHour);
     EXPECT_NE(fx.soas[0]->budgetWatts(2 * sim::kHour), even);
+}
+
+TEST(Goa, TwoPhaseConstantRowMatchesRecompute)
+{
+    // The hierarchical two-phase recompute (pullProfiles +
+    // recomputeWithBudget) fed a constant usable row of the rack
+    // limit minus the safety margin is the flat recompute(now) bit
+    // for bit: a rack that is its own zone needs no second path.
+    Fixture flat(3);
+    Fixture two_phase(3);
+    for (Fixture *fx : {&flat, &two_phase}) {
+        fx->goa.assignEvenSplit();
+        OverclockRequest req;
+        req.cores = 8;
+        req.groupId = fx->vms[1];
+        req.duration = 4 * sim::kHour;
+        fx->soas[1]->requestOverclock(req, 0);
+        for (Tick t = 0; t < 3 * sim::kHour; t += kMinute)
+            for (auto &soa : fx->soas)
+                soa->tick(t);
+    }
+
+    const Tick now = 3 * sim::kHour;
+    flat.goa.recompute(now);
+    two_phase.goa.pullProfiles();
+    const std::vector<double> row(
+        static_cast<std::size_t>(sim::kSlotsPerWeek),
+        two_phase.rack.limitWatts().count() *
+            (1.0 - two_phase.goa.config().budget.safetyFraction));
+    two_phase.goa.recomputeWithBudget(now, row);
+
+    ASSERT_EQ(flat.goa.lastBudgets().size(), 3u);
+    ASSERT_EQ(two_phase.goa.lastBudgets().size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_TRUE(flat.goa.lastBudgets()[i] ==
+                    two_phase.goa.lastBudgets()[i])
+            << "server " << i;
+        EXPECT_EQ(flat.soas[i]->lastAssignmentAt(), now);
+        EXPECT_EQ(two_phase.soas[i]->lastAssignmentAt(), now);
+        for (int slot = 0; slot < sim::kSlotsPerWeek; ++slot) {
+            const Tick t = now + slot * sim::kSlot;
+            EXPECT_EQ(flat.soas[i]->budgetWatts(t).count(),
+                      two_phase.soas[i]->budgetWatts(t).count())
+                << "server " << i << " slot " << slot;
+        }
+    }
+    // The recompute actually moved off the bootstrap even split.
+    EXPECT_FALSE(flat.goa.lastBudgets()[0] ==
+                 flat.goa.lastBudgets()[1]);
 }

@@ -1,10 +1,10 @@
 /**
  * @file
  * SlotAggregator correctness: the incremental aggregator must be a
- * bit-identical replacement for the batch ProfileTemplate::build on
- * the same sample stream, for every strategy, under any history
- * shape (random, mid-week start, sub-day, empty) and under window
- * eviction.
+ * bit-identical replacement for the batch
+ * ProfileTemplate::build(DailyMed) on the same sample stream, under
+ * any history shape (random, mid-week start, sub-day, empty) and
+ * under window eviction.
  */
 
 #include <gtest/gtest.h>
@@ -27,12 +27,6 @@ using sim::kWeek;
 
 namespace
 {
-
-constexpr TemplateStrategy kAllStrategies[] = {
-    TemplateStrategy::FlatMed,  TemplateStrategy::FlatMax,
-    TemplateStrategy::Weekly,   TemplateStrategy::DailyMed,
-    TemplateStrategy::DailyMax,
-};
 
 /** Random-walk history of @p slots samples starting at @p start. */
 TimeSeries
@@ -63,13 +57,11 @@ void
 expectMatchesBatch(const SlotAggregator &agg,
                    const TimeSeries &history)
 {
-    for (auto strategy : kAllStrategies) {
-        EXPECT_TRUE(agg.build(strategy) ==
-                    ProfileTemplate::build(strategy, history))
-            << "strategy " << strategyName(strategy) << " at "
-            << history.size() << " samples from tick "
-            << history.start();
-    }
+    EXPECT_TRUE(agg.build() ==
+                ProfileTemplate::build(TemplateStrategy::DailyMed,
+                                       history))
+        << history.size() << " samples from tick "
+        << history.start();
 }
 
 } // namespace
@@ -124,8 +116,8 @@ TEST(SlotAggregator, RandomHistoriesBitIdenticalAtEveryPrefix)
         for (std::size_t i = 0; i < history.size(); ++i) {
             agg.add(history.timeOf(i), history.at(i));
             prefix.append(history.at(i));
-            // Checking all 5 strategies at every slot is O(weeks^2);
-            // a stride plus the exact end keeps the test fast while
+            // Checking at every slot is O(weeks^2); a stride plus
+            // the exact end keeps the test fast while
             // still crossing day and week boundaries mid-stream.
             if (i % 97 == 0 || i + 1 == history.size())
                 expectMatchesBatch(agg, prefix);
@@ -159,8 +151,8 @@ TEST(SlotAggregator, IndexModeSwitchBitIdenticalAcrossThreshold)
 TEST(SlotAggregator, IndexedWindowEvictionMatchesSlicedBatch)
 {
     // A window wider than kIndexThreshold slots forces indexed-mode
-    // *eviction* (bag erase + weekly-latest invalidation), which the
-    // ring-mode eviction tests never reach.
+    // *eviction* (bag erase), which the ring-mode eviction tests
+    // never reach.
     const sim::Tick window = 4 * kWeek;
     const auto history =
         randomHistory(43, 0, 4 * sim::kSlotsPerWeek + 500);
@@ -185,28 +177,21 @@ TEST(SlotAggregator, VersionAndCacheBehavior)
     const auto v = agg.version();
 
     EXPECT_EQ(agg.rebuildCount(), 0u);
-    (void)agg.build(TemplateStrategy::DailyMed);
+    (void)agg.build();
     EXPECT_EQ(agg.rebuildCount(), 1u);
 
-    // Same strategy, no new samples: cached, no rebuild.
-    (void)agg.build(TemplateStrategy::DailyMed);
-    (void)agg.build(TemplateStrategy::DailyMed);
+    // No new samples: cached, no rebuild.
+    (void)agg.build();
+    (void)agg.build();
     EXPECT_EQ(agg.rebuildCount(), 1u);
     EXPECT_EQ(agg.version(), v);
 
-    // A different strategy has its own cache slot.
-    (void)agg.build(TemplateStrategy::FlatMax);
-    EXPECT_EQ(agg.rebuildCount(), 2u);
-    (void)agg.build(TemplateStrategy::FlatMax);
-    (void)agg.build(TemplateStrategy::DailyMed);
-    EXPECT_EQ(agg.rebuildCount(), 2u);
-
-    // New sample bumps the version and invalidates both.
+    // A new sample bumps the version and invalidates the cache.
     agg.add(history.end(), 250.0);
     EXPECT_GT(agg.version(), v);
-    (void)agg.build(TemplateStrategy::DailyMed);
-    (void)agg.build(TemplateStrategy::FlatMax);
-    EXPECT_EQ(agg.rebuildCount(), 4u);
+    (void)agg.build();
+    (void)agg.build();
+    EXPECT_EQ(agg.rebuildCount(), 2u);
 }
 
 TEST(SlotAggregator, WindowEvictionMatchesSlicedBatch)
@@ -232,7 +217,7 @@ TEST(SlotAggregator, WindowEvictionMatchesSlicedBatch)
 TEST(SlotAggregator, ClearResetsToEmpty)
 {
     auto agg = aggregate(randomHistory(41, 0, 100));
-    (void)agg.build(TemplateStrategy::Weekly);
+    (void)agg.build();
     agg.clear();
     EXPECT_TRUE(agg.empty());
     EXPECT_EQ(agg.sampleCount(), 0u);
@@ -329,7 +314,10 @@ TEST(SlotAggregator, ClearReanchorsAtAnyTick)
 TEST(ProfileTemplateEquality, DetectsEveryFieldDifference)
 {
     const auto history = randomHistory(51, 0, sim::kSlotsPerDay * 9);
-    for (auto strategy : kAllStrategies) {
+    for (auto strategy :
+         {TemplateStrategy::FlatMed, TemplateStrategy::FlatMax,
+          TemplateStrategy::Weekly, TemplateStrategy::DailyMed,
+          TemplateStrategy::DailyMax}) {
         const auto a = ProfileTemplate::build(strategy, history);
         const auto b = ProfileTemplate::build(strategy, history);
         EXPECT_TRUE(a == b);

@@ -92,13 +92,10 @@ struct SlotRecorder {
             granted.add(t, slots[i].grantedCores);
             requested.add(t, slots[i].requestedCores);
         }
-        const auto strategy = TemplateStrategy::DailyMed;
-        EXPECT_TRUE(profile.power == power.build(strategy));
-        EXPECT_TRUE(profile.utilization == util.build(strategy));
-        EXPECT_TRUE(profile.overclockedCores ==
-                    granted.build(strategy));
-        EXPECT_TRUE(profile.requestedCores ==
-                    requested.build(strategy));
+        EXPECT_TRUE(profile.power == power.build());
+        EXPECT_TRUE(profile.utilization == util.build());
+        EXPECT_TRUE(profile.overclockedCores == granted.build());
+        EXPECT_TRUE(profile.requestedCores == requested.build());
     }
 };
 
