@@ -1,7 +1,7 @@
 #!/bin/sh
 # Full CI gate: tier-1 build + tests, the bench regression gates,
-# the static-analysis chain, ThreadSanitizer, and the suite under
-# UndefinedBehaviorSanitizer.
+# the stdout goldens, the static-analysis chain, ThreadSanitizer,
+# and the suite under UndefinedBehaviorSanitizer.
 # Each stage uses its own build directory so sanitizer flags never
 # leak between configurations.  Usage: scripts/ci_check.sh
 set -e
@@ -76,6 +76,11 @@ if ! cmp -s "$TABLE1_T1" "$TABLE1_T4"; then
     exit 1
 fi
 echo "Table I output byte-identical at 1 and 4 threads"
+
+echo "==== ci_check: stdout goldens ===="
+# Table I, the fault table and the §V-A cluster figures must print
+# exactly the checked-in bytes (tests/golden/README.md).
+"$ROOT/scripts/golden_check.sh" "$ROOT/build"
 
 echo "==== ci_check: static analysis ===="
 STATIC_LOG="$(mktemp)"

@@ -1,6 +1,7 @@
 #include "cluster/service_sim.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -8,11 +9,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/goa.hh"
-#include "core/soa.hh"
+#include "cluster/rack_control.hh"
 #include "core/wi.hh"
-#include "power/rack.hh"
-#include "power/rack_manager.hh"
 #include "sim/rng.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
@@ -63,24 +61,36 @@ ServiceSimConfig::validate() const
         fail("pollPeriod must be > 0");
     if (goaPeriod <= 0)
         fail("goaPeriod must be > 0");
-    if (templateWindow < 0 ||
-        (templateWindow > 0 && templateWindow % sim::kSlot != 0)) {
-        fail("templateWindow must be 0 or a positive multiple of "
-             "the telemetry slot");
-    }
-    if (!(rackLimitFactor > 0.0)) {
-        fail("rackLimitFactor must be > 0 (got " +
+    const auto finite_non_negative = [&](const char *name,
+                                         double value) {
+        if (!(std::isfinite(value) && value >= 0.0)) {
+            fail(std::string(name) + " must be finite and >= 0 (got " +
+                 std::to_string(value) + ")");
+        }
+    };
+    finite_non_negative("lowFrac", lowFrac);
+    finite_non_negative("medFrac", medFrac);
+    finite_non_negative("highFrac", highFrac);
+    finite_non_negative("peakMultiplier", peakMultiplier);
+    finite_non_negative("overclockFraction", overclockFraction);
+    finite_non_negative("overclockBudgetScale", overclockBudgetScale);
+    if (!(std::isfinite(rackLimitFactor) && rackLimitFactor > 0.0)) {
+        fail("rackLimitFactor must be finite and > 0 (got " +
              std::to_string(rackLimitFactor) + ")");
+    }
+    if (!(vmOverheadUtil >= 0.0 && vmOverheadUtil <= 1.0)) {
+        fail("vmOverheadUtil must be in [0, 1] (got " +
+             std::to_string(vmOverheadUtil) + ")");
+    }
+    if (mlServers > 0 &&
+        (mlCoresPerServer < 1 || mlCoresPerServer > hardware.cores)) {
+        fail("mlCoresPerServer must be in [1, hardware.cores = " +
+             std::to_string(hardware.cores) + "] (got " +
+             std::to_string(mlCoresPerServer) + ")");
     }
     if (maxInstances < 1)
         fail("maxInstances must be >= 1");
-    faults.validate();
-    ingress.validate();
-    storm.validate();
-    if (storm.enabled && !ingress.enabled) {
-        fail("storm requires the ingress (there is no hint channel "
-             "to attack otherwise)");
-    }
+    validateControlPlane(templateWindow, faults, ingress, storm, fail);
 }
 
 namespace
@@ -90,7 +100,6 @@ namespace
 struct Node {
     power::Server *server = nullptr;
     core::ServerOverclockingAgent *soa = nullptr;
-    int rackIdx = 0;
     enum class Kind { SocialHome, MlTrain, Spare } kind;
     power::Joules energyJ{0.0};
 };
@@ -190,35 +199,6 @@ runServiceSim(const ServiceSimConfig &config)
     sim::Rng rng(config.seed);
     const power::PowerModel model(config.hardware);
 
-    // --- Racks -------------------------------------------------------
-    const int rack1_servers =
-        config.socialNetServers + config.mlServers;
-    const power::Watts limit1 = rack1_servers *
-        config.hardware.tdpWatts * config.rackLimitFactor;
-    const power::Watts limit2 = std::max(1, config.spareServers) *
-        config.hardware.tdpWatts * config.rackLimitFactor;
-
-    power::Rack rack1(0, limit1);
-    power::Rack rack2(1, limit2);
-    power::RackManager manager1(rack1);
-    power::RackManager manager2(rack2);
-
-    core::GoaConfig goa_cfg;
-    std::array<sim::FaultPlan, 2> plans;
-    if (config.faults.enabled) {
-        // Leases sized to tolerate one missed recompute before the
-        // sOAs start decaying toward the safe floor.
-        goa_cfg.leaseTtl = 2 * config.goaPeriod;
-        plans[0] = sim::FaultPlan::generate(
-            config.faults, config.seed, 0, rack1_servers,
-            config.duration);
-        plans[1] = sim::FaultPlan::generate(
-            config.faults, config.seed, 1,
-            std::max(1, config.spareServers), config.duration);
-    }
-    core::GlobalOverclockingAgent goa1(rack1, model, goa_cfg);
-    core::GlobalOverclockingAgent goa2(rack2, model, goa_cfg);
-
     core::SoaConfig soa_cfg =
         core::SoaConfig::forPolicy(config.soaPolicy);
     soa_cfg.controlPeriod = config.controlPeriod;
@@ -230,50 +210,41 @@ runServiceSim(const ServiceSimConfig &config)
                                               10 * sim::kMinute);
     soa_cfg.templateWindow = config.templateWindow;
 
+    // --- Racks -------------------------------------------------------
+    // Rack 0 hosts the latency-critical and MLTrain servers, rack 1
+    // the spares.  Rack 1 is sized (limit and fault-plan width) for
+    // at least one server even when there are no spares.
+    const auto rack_for = [&](int index, int servers) {
+        return RackControl(
+            index,
+            servers * config.hardware.tdpWatts * config.rackLimitFactor,
+            model, soa_cfg, config.faults, config.seed, servers,
+            config.duration, config.goaPeriod);
+    };
+    RackControl rack1 =
+        rack_for(0, config.socialNetServers + config.mlServers);
+    RackControl rack2 = rack_for(1, std::max(1, config.spareServers));
+
     std::vector<Node> nodes;
-    std::vector<std::unique_ptr<core::ServerOverclockingAgent>> soas;
-
-    const bool faulty_sensor = config.faults.enabled &&
-        (config.faults.sensorNoiseStd > 0.0 ||
-         config.faults.sensorBias != 0.0);
-
-    auto add_node = [&](power::Rack &rack,
-                        power::RackManager &manager,
-                        core::GlobalOverclockingAgent &goa,
-                        int rack_idx, Node::Kind kind) {
-        power::Server &server = rack.addServer(&model);
-        soas.push_back(
-            std::make_unique<core::ServerOverclockingAgent>(
-                server, soa_cfg, &rack));
-        if (faulty_sensor) {
-            const sim::FaultPlan *plan = &plans[rack_idx];
-            const int sidx =
-                static_cast<int>(rack.serverCount()) - 1;
-            soas.back()->setPowerSensor(
-                [plan, sidx](power::Watts watts, sim::Tick now) {
-                    return watts * plan->sensorFactor(sidx, now);
-                });
-        }
-        manager.addListener(soas.back().get());
-        goa.addAgent(soas.back().get());
+    auto add_node = [&](RackControl &rack, Node::Kind kind) {
+        core::ServerOverclockingAgent &soa = rack.addServer();
         Node node;
-        node.server = &server;
-        node.soa = soas.back().get();
-        node.rackIdx = rack_idx;
+        node.server = &soa.server();
+        node.soa = &soa;
         node.kind = kind;
         nodes.push_back(node);
     };
 
     for (int i = 0; i < config.socialNetServers; ++i)
-        add_node(rack1, manager1, goa1, 0, Node::Kind::SocialHome);
+        add_node(rack1, Node::Kind::SocialHome);
     for (int i = 0; i < config.mlServers; ++i)
-        add_node(rack1, manager1, goa1, 0, Node::Kind::MlTrain);
+        add_node(rack1, Node::Kind::MlTrain);
     for (int i = 0; i < config.spareServers; ++i)
-        add_node(rack2, manager2, goa2, 1, Node::Kind::Spare);
+        add_node(rack2, Node::Kind::Spare);
 
-    goa1.assignEvenSplit();
+    rack1.goa().assignEvenSplit();
     if (config.spareServers > 0)
-        goa2.assignEvenSplit();
+        rack2.goa().assignEvenSplit();
 
     // --- MLTrain workloads -------------------------------------------
     struct MlNode {
@@ -409,47 +380,16 @@ runServiceSim(const ServiceSimConfig &config)
     std::uint64_t eval_windows = 0;
     std::uint64_t eval_windows_missed = 0;
 
-    // Fault bookkeeping: merged crash schedule over both racks
-    // (node index order) and the in-flight budget pushes per gOA.
-    std::vector<std::pair<sim::Tick, int>> crash_schedule;
-    for (const auto &event : plans[0].crashes()) {
-        if (event.server < rack1_servers)
-            crash_schedule.emplace_back(event.at, event.server);
-    }
-    for (const auto &event : plans[1].crashes()) {
-        if (event.server < config.spareServers) {
-            crash_schedule.emplace_back(
-                event.at, rack1_servers + event.server);
-        }
-    }
-    std::sort(crash_schedule.begin(), crash_schedule.end());
-    std::size_t next_crash = 0;
-    std::array<std::vector<core::PendingAssignment>, 2> in_flight;
-    std::array<std::size_t, 2> next_delivery{};
-
     simulator.every(config.controlPeriod, [&](sim::Tick now) {
         const bool in_eval = now >= config.warmup;
 
-        // Scheduled sOA crash-restarts due by now.
-        while (next_crash < crash_schedule.size() &&
-               crash_schedule[next_crash].first <= now) {
-            const int node_idx = crash_schedule[next_crash].second;
-            nodes[node_idx].soa->crashRestart(now);
-            ++result.faults.soaCrashes;
-            ++next_crash;
-        }
-
-        // Deliver budget pushes whose flight time is up.
-        for (int r = 0; r < 2; ++r) {
-            auto &queue = in_flight[r];
-            auto &cursor = next_delivery[r];
-            auto &goa = r == 0 ? goa1 : goa2;
-            while (cursor < queue.size() &&
-                   queue[cursor].deliverAt <= now) {
-                goa.deliver(queue[cursor], now);
-                ++cursor;
-            }
-        }
+        // Scheduled sOA crash-restarts due by now (crashes of
+        // different sOAs commute, so rack by rack is fine), then
+        // budget pushes whose flight time is up.
+        rack1.applyCrashes(now);
+        rack2.applyCrashes(now);
+        rack1.deliverDue(now);
+        rack2.deliverDue(now);
 
         // Offered load follows the phase profile.
         const double phase =
@@ -504,11 +444,11 @@ runServiceSim(const ServiceSimConfig &config)
         }
 
         // Agents and safety.
-        for (auto &soa : soas)
-            soa->tick(now);
-        manager1.tick(now);
+        for (auto &node : nodes)
+            node.soa->tick(now);
+        rack1.manager().tick(now);
         if (config.spareServers > 0)
-            manager2.tick(now);
+            rack2.manager().tick(now);
 
         // Energy accounting.
         if (in_eval) {
@@ -628,29 +568,14 @@ runServiceSim(const ServiceSimConfig &config)
         }
     });
 
-    auto run_goa = [&](core::GlobalOverclockingAgent &goa,
-                       const sim::FaultPlan &plan, int rack_idx,
-                       sim::Tick now) {
-        if (!plan.enabled()) {
-            goa.recompute(now);
-            return;
-        }
-        if (plan.goaDown(now)) {
-            // Outage: no budget update this period; the sOAs keep
-            // enforcing their last assignments until the lease
-            // expires, then decay toward the safe floor (§III-Q5).
-            ++result.faults.recomputesSkipped;
-            return;
-        }
-        core::enqueueDeliveries(
-            in_flight[rack_idx], next_delivery[rack_idx],
-            goa.recompute(now, core::recomputeFaultsAt(plan, now)));
-    };
-
+    // A recompute the gOA outage skips is not retried: the sOAs
+    // keep enforcing their last assignments until the next period
+    // (or the lease expires and they decay toward the safe floor,
+    // §III-Q5).
     simulator.every(config.goaPeriod, [&](sim::Tick now) {
-        run_goa(goa1, plans[0], 0, now);
+        rack1.recompute(now);
         if (config.spareServers > 0)
-            run_goa(goa2, plans[1], 1, now);
+            rack2.recompute(now);
     });
 
     simulator.runUntil(config.duration);
@@ -722,23 +647,10 @@ runServiceSim(const ServiceSimConfig &config)
             (static_cast<double>(ml_nodes.size()) *
              workload::MlTrainJob().throughput(power::kTurboMHz));
 
-    result.capEvents = manager1.stats().capEvents +
-        manager2.stats().capEvents;
-    if (config.faults.enabled) {
-        for (const auto *goa : {&goa1, &goa2}) {
-            const core::GoaStats &gs = goa->stats();
-            result.faults.telemetryRetries += gs.telemetryRetries;
-            result.faults.telemetryDrops += gs.staleProfiles;
-            result.faults.budgetDrops += gs.assignmentsDropped;
-            result.faults.budgetDelays += gs.assignmentsDelayed;
-            result.faults.budgetRejects += gs.assignmentsRejected;
-        }
-        for (const auto &plan : plans) {
-            for (const auto &outage : plan.outages())
-                if (outage.start < config.duration)
-                    ++result.faults.goaOutages;
-        }
-    }
+    result.capEvents = rack1.manager().stats().capEvents +
+        rack2.manager().stats().capEvents;
+    rack1.harvestFaults(config.duration, result.faults);
+    rack2.harvestFaults(config.duration, result.faults);
     result.meanInstancesAll = instances_all /
         std::max<std::size_t>(1, deployments.size());
     result.missedSloTimeFrac = eval_windows > 0

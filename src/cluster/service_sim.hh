@@ -18,7 +18,7 @@
  *
  * The same harness runs the §V-A power-constrained (reduced rack
  * limit) and overclocking-constrained (reduced lifetime budget)
- * experiments.
+ * experiments.  Each rack's control plane is a cluster::RackControl.
  */
 
 #ifndef SOC_CLUSTER_SERVICE_SIM_HH
@@ -130,8 +130,10 @@ struct ServiceSimConfig {
     /**
      * Reject nonsensical configurations up front with a clear
      * message (std::invalid_argument): at least one latency-critical
-     * server, non-negative server counts, positive periods and rack
-     * limit factor, warmup < duration, and fault knobs in range.
+     * server, non-negative server counts, positive periods, a finite
+     * positive rack limit factor, finite non-negative load fractions
+     * and overclock budget, vmOverheadUtil in [0, 1], MLTrain cores
+     * that fit a server, warmup < duration, fault knobs in range.
      */
     void validate() const;
 };

@@ -4,16 +4,14 @@
 #include <bit>
 #include <cassert>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "cluster/fleet_state.hh"
+#include "cluster/rack_control.hh"
 #include "core/budget_hierarchy.hh"
-#include "core/goa.hh"
-#include "core/soa.hh"
-#include "power/rack.hh"
-#include "power/rack_manager.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/thread_pool.hh"
@@ -51,10 +49,16 @@ TraceSimConfig::validate() const
         fail("serversPerRack must be >= 1 (got " +
              std::to_string(serversPerRack) + ")");
     }
-    if (!(limitFactor > 0.0)) {
-        fail("limitFactor must be > 0 (got " +
+    if (!(std::isfinite(limitFactor) && limitFactor > 0.0)) {
+        fail("limitFactor must be finite and > 0 (got " +
              std::to_string(limitFactor) + ")");
     }
+    if (!(ocUtilThreshold >= 0.0 && ocUtilThreshold <= 1.0)) {
+        fail("ocUtilThreshold must be in [0, 1] (got " +
+             std::to_string(ocUtilThreshold) + ")");
+    }
+    if (requestChunk <= 0)
+        fail("requestChunk must be > 0");
     if (warmup < 0)
         fail("warmup must be non-negative");
     if (duration < 0)
@@ -65,11 +69,6 @@ TraceSimConfig::validate() const
         fail("controlStep must be > 0");
     if (recomputePeriod <= 0)
         fail("recomputePeriod must be > 0");
-    if (templateWindow < 0 ||
-        (templateWindow > 0 && templateWindow % sim::kSlot != 0)) {
-        fail("templateWindow must be 0 or a positive multiple of "
-             "the telemetry slot");
-    }
     if (streamWindow < 0 ||
         (streamWindow > 0 && streamWindow % sim::kSlot != 0)) {
         fail("streamWindow must be 0 or a positive multiple of "
@@ -96,13 +95,7 @@ TraceSimConfig::validate() const
              "injection (the zone recompute has no outage-retry "
              "path); use budgetPath = PerRack with faults");
     }
-    faults.validate();
-    ingress.validate();
-    storm.validate();
-    if (storm.enabled && !ingress.enabled) {
-        fail("storm requires the ingress (there is no hint channel "
-             "to attack otherwise)");
-    }
+    validateControlPlane(templateWindow, faults, ingress, storm, fail);
 }
 
 namespace
@@ -163,7 +156,8 @@ secondsSince(Clock::time_point start)
 }
 
 /**
- * One rack's build state plus its resumable control loop.
+ * One rack's build state plus its resumable control loop around its
+ * RackControl (the rack's gOA, sOAs, manager and fault plan).
  *
  * The rack's control loop is resumable so it can pause at zone
  * recompute boundaries (see runReplay).  A PerRack run has no
@@ -227,7 +221,7 @@ class RackRuntime
     /** Tail accounting into the outcome (end of the horizon). */
     void finish();
 
-    power::Watts limitWatts() const { return rack_->limitWatts(); }
+    power::Watts limitWatts() const { return control_->rack().limitWatts(); }
 
     /** Exchange slot for hier.exchangeRackAggregate. */
     core::ServerProfile &aggregateSlot() { return aggregate_; }
@@ -252,7 +246,8 @@ class RackRuntime
                                       sim::Tick t);
     /** Stream windows forward until @p slot is materialized. */
     void ensureSlot(std::size_t slot);
-    void refillWindow();
+    /** Generate the next stream window; returns its slot count. */
+    std::size_t generateWindow();
 
     const TraceSimConfig &config_;
     const power::PowerModel &model_;
@@ -265,21 +260,10 @@ class RackRuntime
     // Build state.
     std::vector<std::vector<workload::VmMix>> mixes_;
     std::vector<workload::ServerTraceStream> streams_;
-    std::unique_ptr<power::Rack> rack_;
-    std::unique_ptr<power::RackManager> manager_;
-    std::unique_ptr<core::GlobalOverclockingAgent> goa_;
-    std::vector<std::unique_ptr<core::ServerOverclockingAgent>>
-        soas_;
+    /** This rack's control plane (rack_control.hh). */
+    std::unique_ptr<RackControl> control_;
     /** Windowed SoA replay state over the streams. */
     std::unique_ptr<FleetState> fleet_;
-    /** groups[s][v]: core-group id of VM v on server s.  Group ids
-     *  are allocated sequentially, so groups[s][v] == v (asserted
-     *  at build); the fleet masks rely on that identity. */
-    std::vector<std::vector<power::GroupId>> groups_;
-    /** candidate[s][v]: does this VM ever request overclocking? */
-    std::vector<std::vector<bool>> candidate_;
-    /** Deterministic fault schedule (inert when faults disabled). */
-    sim::FaultPlan plan_;
     /** Bounded hint queue (null when the ingress is disabled). */
     std::unique_ptr<core::HintIngress> ingress_;
     /** Deterministic adversarial frame source (inert when off). */
@@ -293,15 +277,9 @@ class RackRuntime
     // Loop state (resumable across advance/boundary calls).
     sim::Tick t_ = 0;
     sim::Tick nextRecompute_ = 0;
-    std::uint64_t capBase_ = 0;
-    std::uint64_t cappedTickBase_ = 0;
-    std::uint64_t warnBase_ = 0;
+    /** Counters at the end of warm-up (metrics cover evaluation). */
+    power::RackManagerStats warmupStats_;
     std::uint64_t reqBase_ = 0;
-    std::size_t nextCrash_ = 0;
-    /** Budget pushes in flight (delayed deliveries), sorted by
-     *  deliverAt from nextDelivery_ on. */
-    std::vector<core::PendingAssignment> inFlight_;
-    std::size_t nextDelivery_ = 0;
     /** First recompute time missed to the current outage (-1 when
      *  the gOA is reachable). */
     sim::Tick outageFirstMissed_ = -1;
@@ -339,16 +317,17 @@ RackRuntime::build()
     // materialized serverTrace path consumed the generator, so the
     // streamed samples are bit-identical to the former
     // generate-everything-up-front flow.
+    fleet_ = std::make_unique<FleetState>(config_.ocUtilThreshold);
     for (int s = 0; s < config_.serversPerRack; ++s) {
         mixes_.push_back(gen.randomVmMix(config_.hardware.cores));
         streams_.push_back(
             gen.serverTraceStream(mixes_.back(), model_));
-        std::vector<bool> server_candidates;
-        server_candidates.reserve(mixes_.back().size());
+        std::vector<bool> candidates;
+        candidates.reserve(mixes_.back().size());
         for (const auto &vm : mixes_.back())
-            server_candidates.push_back(
+            candidates.push_back(
                 isCandidate(vm, config_.ocUtilThreshold));
-        candidate_.push_back(std::move(server_candidates));
+        fleet_->addServer(mixes_.back().size(), candidates);
     }
 
     slotsTotal_ = static_cast<std::size_t>(
@@ -357,13 +336,6 @@ RackRuntime::build()
         ? slotsTotal_
         : static_cast<std::size_t>(config_.streamWindow /
                                    sim::kSlot);
-
-    fleet_ = std::make_unique<FleetState>(config_.ocUtilThreshold);
-    for (int s = 0; s < config_.serversPerRack; ++s) {
-        fleet_->addServer(
-            mixes_[static_cast<std::size_t>(s)].size(),
-            candidate_[static_cast<std::size_t>(s)]);
-    }
     fleet_->setHorizon(slotsTotal_);
 
     // Limit pass: stream the whole horizon once to derive the rack
@@ -378,15 +350,8 @@ RackRuntime::build()
     std::vector<double> rack_power_values(slotsTotal_, 0.0);
     while (fleet_->windowEnd() < slotsTotal_) {
         const std::size_t first = fleet_->windowEnd();
-        const std::size_t n = fleet_->beginWindow(first,
-                                                  windowSlots_);
-        std::uint16_t *util = fleet_->utilWindow();
-        float *watts = fleet_->wattsWindow();
-        for (std::size_t s = 0; s < streams_.size(); ++s) {
-            const std::size_t off = fleet_->serverOffset(s);
-            streams_[s].generateQuantized(n, util + off, watts + off,
-                                          stride);
-        }
+        const std::size_t n = generateWindow();
+        const float *watts = fleet_->wattsWindow();
         for (std::size_t i = 0; i < n; ++i) {
             const float *wrow = watts + i * stride;
             power::Watts rack_watts{0.0};
@@ -398,10 +363,7 @@ RackRuntime::build()
                 for (std::size_t v = 0; v < vms; ++v)
                     server_watts += power::Watts{
                         static_cast<double>(wrow[off + v])};
-                if (s == 0)
-                    rack_watts = server_watts;
-                else
-                    rack_watts += server_watts;
+                rack_watts += server_watts;
             }
             rack_power_values[first + i] = rack_watts.count();
         }
@@ -423,60 +385,26 @@ RackRuntime::build()
         fleet_->resetWindows();
     }
 
-    rack_ = std::make_unique<power::Rack>(rackIndex_, limit);
-    manager_ = std::make_unique<power::RackManager>(*rack_);
+    control_ = std::make_unique<RackControl>(
+        rackIndex_, limit, model_, soaCfg_, config_.faults,
+        config_.seed, config_.serversPerRack, end_,
+        config_.recomputePeriod);
 
-    core::GoaConfig goa_cfg;
-    goa_cfg.recomputePeriod = config_.recomputePeriod;
-    if (config_.faults.enabled) {
-        // Leases sized to tolerate one missed recompute before the
-        // sOAs start decaying toward the safe floor.
-        goa_cfg.leaseTtl = 2 * config_.recomputePeriod;
-        plan_ = sim::FaultPlan::generate(
-            config_.faults, config_.seed,
-            static_cast<std::uint64_t>(rackIndex_),
-            config_.serversPerRack, end_);
-    }
-    goa_ = std::make_unique<core::GlobalOverclockingAgent>(
-        *rack_, model_, goa_cfg);
-
-    const bool faulty_sensor = config_.faults.enabled &&
-        (config_.faults.sensorNoiseStd > 0.0 ||
-         config_.faults.sensorBias != 0.0);
-
-    for (int s = 0; s < config_.serversPerRack; ++s) {
-        power::Server &server = rack_->addServer(&model_);
-        std::vector<power::GroupId> server_groups;
-        for (const auto &vm : mixes_[static_cast<std::size_t>(s)]) {
-            const power::GroupId g = server.addGroup(
-                vm.cores, 0.0, power::kTurboMHz, /*priority=*/1);
-            // The fleet bitmasks identify VM v with group id v.
-            assert(g == static_cast<power::GroupId>(
-                            server_groups.size()));
-            server_groups.push_back(g);
+    // VM v of a server is its core group v: the fleet bitmasks, the
+    // hint walk and the wire headers rely on that identity.
+    for (const auto &mix : mixes_) {
+        power::Server &server = control_->addServer().server();
+        for (std::size_t v = 0; v < mix.size(); ++v) {
+            [[maybe_unused]] const power::GroupId g = server.addGroup(
+                mix[v].cores, 0.0, power::kTurboMHz, /*priority=*/1);
+            assert(g == static_cast<power::GroupId>(v));
         }
-        groups_.push_back(std::move(server_groups));
-
-        soas_.push_back(
-            std::make_unique<core::ServerOverclockingAgent>(
-                server, soaCfg_, rack_.get()));
-        if (faulty_sensor) {
-            // The runtime owns its plan for its whole lifetime, so
-            // the plan's address is stable for the run.
-            const sim::FaultPlan *plan = &plan_;
-            soas_.back()->setPowerSensor(
-                [plan, s](power::Watts watts, sim::Tick now) {
-                    return watts * plan->sensorFactor(s, now);
-                });
-        }
-        manager_->addListener(soas_.back().get());
-        goa_->addAgent(soas_.back().get());
     }
-    goa_->assignEvenSplit();
+    control_->goa().assignEvenSplit();
 
     nextRecompute_ = config_.warmup;
-    crashSince_.assign(soas_.size(), -1);
-    activeMask_.assign(soas_.size(), 0);
+    crashSince_.assign(control_->soaCount(), -1);
+    activeMask_.assign(control_->soaCount(), 0);
 
     if (config_.ingress.enabled) {
         ingress_ =
@@ -498,12 +426,11 @@ RackRuntime::build()
     out_.genSeconds += secondsSince(t0);
 }
 
-void
-RackRuntime::refillWindow()
+std::size_t
+RackRuntime::generateWindow()
 {
-    const auto t0 = Clock::now();
-    const std::size_t first = fleet_->windowEnd();
-    const std::size_t n = fleet_->beginWindow(first, windowSlots_);
+    const std::size_t n =
+        fleet_->beginWindow(fleet_->windowEnd(), windowSlots_);
     const std::size_t stride = fleet_->totalVms();
     std::uint16_t *util = fleet_->utilWindow();
     float *watts = fleet_->wattsWindow();
@@ -512,17 +439,20 @@ RackRuntime::refillWindow()
         streams_[s].generateQuantized(n, util + off, watts + off,
                                       stride);
     }
-    fleet_->finalizeWindow();
-    const double spent = secondsSince(t0);
-    out_.genSeconds += spent;
-    pendingRefillS_ += spent;
+    return n;
 }
 
 void
 RackRuntime::ensureSlot(std::size_t slot)
 {
-    while (slot >= fleet_->windowEnd())
-        refillWindow();
+    while (slot >= fleet_->windowEnd()) {
+        const auto t0 = Clock::now();
+        generateWindow();
+        fleet_->finalizeWindow();
+        const double spent = secondsSince(t0);
+        out_.genSeconds += spent;
+        pendingRefillS_ += spent;
+    }
 }
 
 void
@@ -531,32 +461,18 @@ RackRuntime::stepProlog(sim::Tick t)
     if (t == config_.warmup) {
         // Snapshot warm-up counters so metrics cover only the
         // evaluation window.
-        capBase_ = manager_->stats().capEvents;
-        cappedTickBase_ = manager_->stats().cappedTicks;
-        warnBase_ = manager_->stats().warnings;
-        for (auto &soa : soas_)
-            reqBase_ += soa->stats().requests;
+        warmupStats_ = control_->manager().stats();
+        for (std::size_t s = 0; s < control_->soaCount(); ++s)
+            reqBase_ += control_->soa(s).stats().requests;
     }
 
     // Scheduled sOA crash-restarts due by now.
-    const auto &crashes = plan_.crashes();
-    while (nextCrash_ < crashes.size() &&
-           crashes[nextCrash_].at <= t) {
-        const auto &event = crashes[nextCrash_];
-        if (event.server >= 0 &&
-            event.server < static_cast<int>(soas_.size())) {
-            soas_[static_cast<std::size_t>(event.server)]
-                ->crashRestart(t);
-            ++out_.faults.soaCrashes;
-            if (crashSince_[static_cast<std::size_t>(
-                    event.server)] < 0)
-                crashSince_[static_cast<std::size_t>(event.server)] =
-                    t;
-            faultAttributionUntil_ = std::max(
-                faultAttributionUntil_, t + kFaultAttribution);
-        }
-        ++nextCrash_;
-    }
+    control_->applyCrashes(t, [this](std::size_t s, sim::Tick now) {
+        if (crashSince_[s] < 0)
+            crashSince_[s] = now;
+        faultAttributionUntil_ = std::max(faultAttributionUntil_,
+                                          now + kFaultAttribution);
+    });
 }
 
 void
@@ -564,27 +480,16 @@ RackRuntime::maybeRecompute(sim::Tick t)
 {
     if (t < nextRecompute_)
         return;
-    if (plan_.goaDown(t)) {
+    if (!control_->recompute(t)) {
         // gOA outage: the recompute is skipped and retried every
         // step; sOAs keep enforcing their last budgets, decaying
         // once the lease goes stale (§III-Q5).
-        ++out_.faults.recomputesSkipped;
         if (outageFirstMissed_ < 0)
             outageFirstMissed_ = t;
         faultAttributionUntil_ = std::max(
             faultAttributionUntil_, t + kFaultAttribution);
         nextRecompute_ = t + config_.controlStep;
         return;
-    }
-    if (plan_.enabled()) {
-        // Fault-aware recompute: telemetry faults during the pull,
-        // budget pushes queued (possibly delayed/corrupted) instead
-        // of applied.
-        core::enqueueDeliveries(
-            inFlight_, nextDelivery_,
-            goa_->recompute(t, core::recomputeFaultsAt(plan_, t)));
-    } else {
-        goa_->recompute(t);
     }
     if (outageFirstMissed_ >= 0) {
         out_.recoverySum += t - outageFirstMissed_;
@@ -601,8 +506,8 @@ void
 RackRuntime::walkServer(std::size_t s, bool in_eval, Start &&start,
                         Stop &&stop)
 {
-    power::Server &server = rack_->server(s);
-    const auto &soa = *soas_[s];
+    power::Server &server = control_->rack().server(s);
+    const auto &soa = control_->soa(s);
     const auto &mix = mixes_[s];
     // Only VMs that want to overclock this slot, or that may still
     // hold an active grant, need per-step processing; for everyone
@@ -617,7 +522,7 @@ RackRuntime::walkServer(std::size_t s, bool in_eval, Start &&start,
         pending &= pending - 1;
         const auto bit = std::uint64_t{1} << v;
         const auto vi = static_cast<std::size_t>(v);
-        const power::GroupId g = groups_[s][vi];
+        const auto g = static_cast<power::GroupId>(v);
         const bool want = (want_mask & bit) != 0;
         const bool active = soa.isOverclockActive(g);
         if (want && !active) {
@@ -654,7 +559,7 @@ RackRuntime::nextHeader(std::size_t s, std::size_t v, sim::Tick t)
 {
     core::wire::HintHeader hdr;
     hdr.server = static_cast<int>(s);
-    hdr.vmId = groups_[s][v];
+    hdr.vmId = static_cast<power::GroupId>(v);
     hdr.issuedAt = t;
     hdr.seq = seq_[s][v]++;
     return hdr;
@@ -669,20 +574,20 @@ RackRuntime::stepMain(sim::Tick t)
     // scale); window refills are the only allocation-bearing calls
     // and amortize per streamWindow, inside ensureSlot.
 
+    RackControl &ctl = *control_;
+    power::Rack &rack = ctl.rack();
+    const std::size_t servers = ctl.soaCount();
+
     // Deliver queued budget pushes whose flight time is up.
-    while (nextDelivery_ < inFlight_.size() &&
-           inFlight_[nextDelivery_].deliverAt <= t) {
-        goa_->deliver(inFlight_[nextDelivery_], t);
-        ++nextDelivery_;
-    }
+    ctl.deliverDue(t);
 
     // A crashed sOA has recovered once it holds a budget accepted
     // after the crash.
-    if (plan_.enabled()) {
-        for (std::size_t s = 0; s < soas_.size(); ++s) {
+    if (ctl.plan().enabled()) {
+        for (std::size_t s = 0; s < servers; ++s) {
             if (crashSince_[s] < 0)
                 continue;
-            if (soas_[s]->lastAssignmentAt() >= crashSince_[s]) {
+            if (ctl.soa(s).lastAssignmentAt() >= crashSince_[s]) {
                 out_.recoverySum += t - crashSince_[s];
                 ++out_.recoveries;
                 crashSince_[s] = -1;
@@ -700,7 +605,7 @@ RackRuntime::stepMain(sim::Tick t)
     const auto slot = static_cast<std::size_t>(t / sim::kSlot);
     if (slot != lastSlot_) {
         ensureSlot(slot);
-        fleet_->applySlot(*rack_, slot);
+        fleet_->applySlot(rack, slot);
         lastSlot_ = slot;
     }
 
@@ -715,7 +620,7 @@ RackRuntime::stepMain(sim::Tick t)
         // superset: if a start hint is dropped, the VM still wants
         // next step and re-offers; a stale bit is cleared by the
         // walk's !active branch.
-        for (std::size_t s = 0; s < soas_.size(); ++s) {
+        for (std::size_t s = 0; s < servers; ++s) {
             if (storm_.enabled()) {
                 storm_.generate(
                     static_cast<int>(s), t,
@@ -746,26 +651,19 @@ RackRuntime::stepMain(sim::Tick t)
         ingress_->drain(
             t, [&](const core::wire::ParsedHint &hint) {
                 if (hint.server < 0 ||
-                    hint.server >= static_cast<int>(soas_.size()))
+                    hint.server >= static_cast<int>(servers))
                     return false;
-                const auto &groups =
-                    groups_[static_cast<std::size_t>(hint.server)];
+                const auto s = static_cast<std::size_t>(hint.server);
+                if (hint.vmId < 0 ||
+                    hint.vmId >=
+                        static_cast<std::int32_t>(mixes_[s].size()))
+                    return false;
                 switch (hint.kind) {
                 case core::wire::HintKind::OverclockRequest:
-                    if (hint.vmId < 0 ||
-                        hint.vmId >=
-                            static_cast<std::int32_t>(groups.size()))
-                        return false;
-                    soas_[static_cast<std::size_t>(hint.server)]
-                        ->requestOverclock(hint.request, t);
+                    ctl.soa(s).requestOverclock(hint.request, t);
                     return true;
                 case core::wire::HintKind::StopRequest:
-                    if (hint.vmId < 0 ||
-                        hint.vmId >=
-                            static_cast<std::int32_t>(groups.size()))
-                        return false;
-                    soas_[static_cast<std::size_t>(hint.server)]
-                        ->stopOverclock(hint.vmId, t);
+                    ctl.soa(s).stopOverclock(hint.vmId, t);
                     return true;
                 default:
                     // Metrics/schedule/exhaustion hints have no
@@ -777,13 +675,13 @@ RackRuntime::stepMain(sim::Tick t)
 
         // Phase 3 — control ticks run after the drain so every sOA
         // sees this step's surviving hints.
-        for (auto &soa : soas_)
-            soa->tick(t);
+        for (std::size_t s = 0; s < servers; ++s)
+            ctl.soa(s).tick(t);
     } else {
         // Direct path: each server's hints call its sOA at once,
         // and the sOA ticks right after its own server's walk.
-        for (std::size_t s = 0; s < soas_.size(); ++s) {
-            auto &soa = *soas_[s];
+        for (std::size_t s = 0; s < servers; ++s) {
+            auto &soa = ctl.soa(s);
             walkServer(
                 s, in_eval,
                 [&](std::size_t,
@@ -796,32 +694,31 @@ RackRuntime::stepMain(sim::Tick t)
             soa.tick(t);
         }
     }
-    const std::uint64_t cap_before = manager_->stats().capEvents;
-    manager_->tick(t);
+    power::RackManager &manager = ctl.manager();
+    const std::uint64_t cap_before = manager.stats().capEvents;
+    manager.tick(t);
 
-    if (in_eval && plan_.enabled()) {
+    if (in_eval && ctl.plan().enabled()) {
         const std::uint64_t cap_delta =
-            manager_->stats().capEvents - cap_before;
+            manager.stats().capEvents - cap_before;
         if (cap_delta > 0) {
             bool attributed = t <= faultAttributionUntil_ ||
-                plan_.goaDown(t);
-            for (std::size_t s = 0;
-                 !attributed && s < soas_.size(); ++s) {
-                attributed = soas_[s]->leaseStale(t);
-            }
+                ctl.plan().goaDown(t);
+            for (std::size_t s = 0; !attributed && s < servers; ++s)
+                attributed = ctl.soa(s).leaseStale(t);
             if (attributed)
                 out_.capEventsFaultAttributed += cap_delta;
         }
     }
 
     if (in_eval) {
-        out_.rackUtil.add(rack_->utilization());
+        out_.rackUtil.add(rack.utilization());
         out_.energyJoules +=
-            power::energyOver(rack_->powerWatts(), dtS_);
-        if (manager_->capping()) {
+            power::energyOver(rack.powerWatts(), dtS_);
+        if (manager.capping()) {
             double penalty = 0.0;
             int affected = 0;
-            for (const auto &server : rack_->servers()) {
+            for (const auto &server : rack.servers()) {
                 const int cores = server->cappedNonOverclockCores();
                 penalty += server->cappingPenalty() * cores;
                 affected += cores;
@@ -856,7 +753,7 @@ RackRuntime::boundaryCollect(sim::Tick t,
     const auto t0 = Clock::now();
     pendingRefillS_ = 0.0;
     stepProlog(t);
-    const auto &profiles = goa_->pullProfiles();
+    const auto &profiles = control_->goa().pullProfiles();
     agg.aggregate(profiles.data(), profiles.size(), aggregate_);
     out_.simSeconds += secondsSince(t0) - pendingRefillS_;
 }
@@ -874,11 +771,11 @@ RackRuntime::boundaryFinishZone(const core::BudgetHierarchy &hier,
         usable[slot] = budget.predict(
             static_cast<sim::Tick>(slot) * sim::kSlot);
     }
-    goa_->recomputeWithBudget(t_, usable);
+    control_->goa().recomputeWithBudget(t_, usable);
     // Fleet-scale footprint trim: profiles are re-pulled (cheap,
     // cache-served) at the next boundary; safe because the zone
     // path runs with faults disabled.
-    goa_->releaseProfiles();
+    control_->goa().releaseProfiles();
     stepMain(t_);
     t_ += config_.controlStep;
     out_.simSeconds += secondsSince(t0) - pendingRefillS_;
@@ -888,34 +785,23 @@ void
 RackRuntime::finish()
 {
     const auto t0 = Clock::now();
-    out_.capEvents = manager_->stats().capEvents - capBase_;
-    out_.cappedTicks =
-        manager_->stats().cappedTicks - cappedTickBase_;
-    out_.warnings = manager_->stats().warnings - warnBase_;
-    std::uint64_t requests = 0;
-    for (auto &soa : soas_)
-        requests += soa->stats().requests;
-    out_.requests = requests - reqBase_;
-
-    if (plan_.enabled()) {
-        const core::GoaStats &goa_stats = goa_->stats();
-        out_.faults.telemetryRetries = goa_stats.telemetryRetries;
-        out_.faults.telemetryDrops = goa_stats.staleProfiles;
-        out_.faults.budgetDrops = goa_stats.assignmentsDropped;
-        out_.faults.budgetDelays = goa_stats.assignmentsDelayed;
-        out_.faults.budgetRejects = goa_stats.assignmentsRejected;
-        for (const auto &outage : plan_.outages())
-            if (outage.start < end_)
-                ++out_.faults.goaOutages;
-        for (auto &soa : soas_)
-            out_.staleLeaseTicks += soa->stats().staleLeaseTicks;
+    RackControl &ctl = *control_;
+    const power::RackManagerStats &stats = ctl.manager().stats();
+    out_.capEvents = stats.capEvents - warmupStats_.capEvents;
+    out_.cappedTicks = stats.cappedTicks - warmupStats_.cappedTicks;
+    out_.warnings = stats.warnings - warmupStats_.warnings;
+    // Stale-lease ticks and flap denials stay zero without faults
+    // (no lease) and without the ingress (no holdoff).
+    for (std::size_t s = 0; s < ctl.soaCount(); ++s) {
+        const core::SoaStats &soa = ctl.soa(s).stats();
+        out_.requests += soa.requests;
+        out_.staleLeaseTicks += soa.staleLeaseTicks;
+        out_.flapDenied += soa.flapDenied;
     }
-
-    if (ingress_) {
+    out_.requests -= reqBase_;
+    ctl.harvestFaults(end_, out_.faults);
+    if (ingress_)
         out_.ingress.merge(ingress_->stats());
-        for (auto &soa : soas_)
-            out_.flapDenied += soa->stats().flapDenied;
-    }
     out_.simSeconds += secondsSince(t0);
 }
 

@@ -17,7 +17,8 @@
  * One runner drives both budget paths (DESIGN.md §13): racks
  * advance in parallel between zone recompute boundaries, of which a
  * PerRack run has none.  One per-VM hint walk feeds either the sOAs
- * directly or the wire ingress.
+ * directly or the wire ingress; each rack's control plane is a
+ * cluster::RackControl, shared with the service sim.
  */
 
 #ifndef SOC_CLUSTER_TRACE_SIM_HH
@@ -150,7 +151,8 @@ struct TraceSimConfig {
      * Reject nonsensical configurations up front with a clear
      * message (std::invalid_argument) instead of dividing by zero
      * or looping forever deep inside the run: racks and
-     * serversPerRack must be >= 1, limitFactor > 0, controlStep > 0,
+     * serversPerRack must be >= 1, limitFactor finite and > 0,
+     * ocUtilThreshold in [0, 1], controlStep and requestChunk > 0,
      * warmup/duration non-negative with a positive sum,
      * hardware.cores at most 128 (VMs take at least 2 cores and a
      * server's VMs live in 64-bit masks), and the fault knobs in

@@ -241,42 +241,5 @@ GlobalOverclockingAgent::deliver(const PendingAssignment &pending,
     return accepted;
 }
 
-RecomputeFaults
-recomputeFaultsAt(const sim::FaultPlan &plan, sim::Tick now)
-{
-    RecomputeFaults rf;
-    rf.telemetryAttempts = plan.config().telemetryAttempts;
-    rf.telemetryLost = [&plan, now](int server, int attempt) {
-        return plan.telemetryLost(server, now, attempt);
-    };
-    rf.budgetLost = [&plan, now](int server) {
-        return plan.budgetLost(server, now);
-    };
-    rf.budgetDelay = [&plan, now](int server) {
-        return plan.budgetDelay(server, now);
-    };
-    rf.budgetCorrupt = [&plan, now](int server) {
-        return plan.budgetCorrupted(server, now)
-            ? plan.corruptionKind(server, now)
-            : -1;
-    };
-    return rf;
-}
-
-void
-enqueueDeliveries(std::vector<PendingAssignment> &queue,
-                  std::size_t nextDelivery,
-                  std::vector<PendingAssignment> batch)
-{
-    for (auto &pending : batch)
-        queue.push_back(std::move(pending));
-    std::stable_sort(
-        queue.begin() + static_cast<std::ptrdiff_t>(nextDelivery),
-        queue.end(),
-        [](const PendingAssignment &a, const PendingAssignment &b) {
-            return a.deliverAt < b.deliverAt;
-        });
-}
-
 } // namespace core
 } // namespace soc

@@ -29,7 +29,7 @@
 #include "core/budget_allocator.hh"
 #include "core/soa.hh"
 #include "power/rack.hh"
-#include "sim/fault_injector.hh"
+#include "sim/time.hh"
 
 namespace soc
 {
@@ -99,25 +99,6 @@ struct PendingAssignment {
     sim::Tick deliverAt = 0;
     BudgetAssignment assignment;
 };
-
-/**
- * The recompute hooks of a chaos fault schedule: telemetry losses,
- * and lost, delayed and corrupted budget pushes, each looked up in
- * @p plan at @p now.  The hooks reference @p plan, which must
- * outlive the returned value.
- */
-RecomputeFaults recomputeFaultsAt(const sim::FaultPlan &plan,
-                                  sim::Tick now);
-
-/**
- * Queue the budget pushes of one fault-aware recompute: append
- * @p batch to @p queue and stable-sort the undelivered tail (from
- * @p nextDelivery on) by deliverAt, so equal arrival times keep
- * their issue order.
- */
-void enqueueDeliveries(std::vector<PendingAssignment> &queue,
-                       std::size_t nextDelivery,
-                       std::vector<PendingAssignment> batch);
 
 /**
  * Per-rack global agent.  Does not own the sOAs.

@@ -124,8 +124,8 @@ struct FaultStats {
 
 /**
  * The deterministic fault schedule of one rack.  Default-constructed
- * plans are inert (no faults); the simulators build one per rack via
- * generate() when FaultConfig::enabled is set.
+ * plans, and plans generated from a disabled config, are inert (no
+ * faults); cluster::RackControl generates one per rack.
  */
 class FaultPlan
 {

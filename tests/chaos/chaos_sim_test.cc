@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -20,6 +21,25 @@ using namespace soc::cluster;
 
 namespace
 {
+
+/**
+ * Expect @p config.validate() to throw std::invalid_argument whose
+ * message names @p field.
+ */
+template <typename Config>
+void
+expectRejectedNaming(const Config &config, const std::string &field)
+{
+    try {
+        config.validate();
+        ADD_FAILURE() << "expected std::invalid_argument naming "
+                      << field;
+    } catch (const std::invalid_argument &error) {
+        EXPECT_NE(std::string(error.what()).find(field),
+                  std::string::npos)
+            << error.what();
+    }
+}
 
 /**
  * A one-rack run whose fault load guarantees degraded-mode coverage
@@ -199,6 +219,62 @@ TEST(ChaosServiceSim, DeterministicUnderFaults)
     EXPECT_EQ(a.faults.budgetRejects, b.faults.budgetRejects);
 }
 
+TEST(ChaosServiceSim, FaultedRunMatchesPinnedResult)
+{
+    // The service sim's fault path on both racks (crashes, outage
+    // skips, lost, delayed and corrupted pushes) under a hint storm,
+    // pinned to exact values: a rerun comparison cannot see a change
+    // that moves both runs alike.  (Sensor noise and leases leave
+    // this short run unchanged; the fault-table golden covers them.)
+    // With seed 13 a spare-rack crash and a later service-rack crash
+    // fall due in the same control tick (t = 480 s), so the pin also
+    // covers the order crashes are applied in across racks.
+    ServiceSimConfig cfg;
+    cfg.seed = 13;
+    cfg.socialNetServers = 4;
+    cfg.mlServers = 2;
+    cfg.spareServers = 2;
+    cfg.duration = 10 * sim::kMinute;
+    cfg.warmup = 2 * sim::kMinute;
+    cfg.goaPeriod = 2 * sim::kMinute;
+    cfg.faults = sim::FaultConfig::standardChaos();
+    cfg.faults.soaCrashesPerServerWeek = 1500.0;
+    cfg.faults.goaOutagesPerWeek = 400.0;
+    cfg.faults.goaOutageMeanDuration = 3 * sim::kMinute;
+    cfg.ingress.enabled = true;
+    cfg.ingress.maxHintAge = sim::kHour;
+    cfg.storm = sim::HintStormConfig::standardStorm();
+
+    const auto r = runServiceSim(cfg);
+    EXPECT_EQ(r.faults.goaOutages, 2u);
+    EXPECT_EQ(r.faults.recomputesSkipped, 3u);
+    EXPECT_EQ(r.faults.soaCrashes, 12u);
+    EXPECT_EQ(r.faults.telemetryDrops, 0u);
+    EXPECT_EQ(r.faults.telemetryRetries, 2u);
+    EXPECT_EQ(r.faults.budgetDrops, 3u);
+    EXPECT_EQ(r.faults.budgetDelays, 3u);
+    EXPECT_EQ(r.faults.budgetRejects, 1u);
+    EXPECT_EQ(r.capEvents, 0u);
+    EXPECT_EQ(r.scaleOuts, 6u);
+    EXPECT_EQ(r.proactiveScaleOuts, 2u);
+    EXPECT_EQ(r.overclockStarts, 8u);
+    EXPECT_EQ(r.denials, 0u);
+    EXPECT_EQ(r.rejectedMetrics, 0u);
+    EXPECT_EQ(r.ingress.offered, 1920u);
+    EXPECT_EQ(r.ingress.accepted, 1193u);
+    EXPECT_EQ(r.ingress.parseRejects, 567u);
+    EXPECT_EQ(r.ingress.duplicates, 160u);
+    EXPECT_EQ(r.ingress.overflowEvictions, 0u);
+    EXPECT_EQ(r.ingress.overflowSuperseded, 0u);
+    EXPECT_EQ(r.ingress.sinkDrops, 960u);
+    EXPECT_EQ(r.ingress.drained, 1193u);
+    EXPECT_EQ(r.ingress.drainBatches, 40u);
+    EXPECT_EQ(r.ingress.maxDepth, 32u);
+    EXPECT_EQ(r.totalEnergyJ.count(), 0x1.58e86537d968ap+19);
+    EXPECT_EQ(r.mlThroughputNorm, 0x1p+0);
+    EXPECT_EQ(r.missedSloTimeFrac, 0x1.745d1745d1746p-4);
+}
+
 TEST(ChaosValidation, TraceSimConfigRejectsNonsense)
 {
     const auto expect_throws = [](auto mutate) {
@@ -227,6 +303,38 @@ TEST(ChaosValidation, TraceSimConfigRejectsNonsense)
     widest.hardware.cores = 128;
     EXPECT_NO_THROW(widest.validate());
     EXPECT_NO_THROW(TraceSimConfig{}.validate());
+
+    // Values that used to run and silently produce nonsense: an
+    // infinite limit never caps, a NaN threshold never requests, a
+    // non-positive chunk grants nothing.
+    const auto expect_names = [](const std::string &field,
+                                 auto mutate) {
+        TraceSimConfig cfg;
+        mutate(cfg);
+        expectRejectedNaming(cfg, field);
+    };
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    expect_names("limitFactor",
+                 [&](TraceSimConfig &c) { c.limitFactor = inf; });
+    expect_names("limitFactor",
+                 [&](TraceSimConfig &c) { c.limitFactor = nan; });
+    expect_names("ocUtilThreshold",
+                 [&](TraceSimConfig &c) { c.ocUtilThreshold = nan; });
+    expect_names("ocUtilThreshold",
+                 [](TraceSimConfig &c) { c.ocUtilThreshold = -0.1; });
+    expect_names("ocUtilThreshold",
+                 [](TraceSimConfig &c) { c.ocUtilThreshold = 1.5; });
+    expect_names("requestChunk",
+                 [](TraceSimConfig &c) { c.requestChunk = 0; });
+    expect_names("requestChunk",
+                 [](TraceSimConfig &c) { c.requestChunk = -5; });
+    // The closed-range ends stay legal.
+    TraceSimConfig edges;
+    edges.ocUtilThreshold = 0.0;
+    EXPECT_NO_THROW(edges.validate());
+    edges.ocUtilThreshold = 1.0;
+    EXPECT_NO_THROW(edges.validate());
 
     // The entry point itself refuses to run a bad config.
     TraceSimConfig bad;
@@ -273,6 +381,54 @@ TEST(ChaosValidation, ServiceSimConfigRejectsNonsense)
         c.faults.budgetLossProb = -0.5;
     });
     EXPECT_NO_THROW(ServiceSimConfig{}.validate());
+
+    // Values that used to run and silently produce nonsense (no
+    // traffic, no overclocking, no MLTrain progress, no limit).
+    const auto expect_names = [](const std::string &field,
+                                 auto mutate) {
+        ServiceSimConfig cfg;
+        mutate(cfg);
+        expectRejectedNaming(cfg, field);
+    };
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    expect_names("lowFrac",
+                 [](ServiceSimConfig &c) { c.lowFrac = -1.0; });
+    expect_names("lowFrac",
+                 [&](ServiceSimConfig &c) { c.lowFrac = nan; });
+    expect_names("medFrac",
+                 [&](ServiceSimConfig &c) { c.medFrac = inf; });
+    expect_names("highFrac",
+                 [](ServiceSimConfig &c) { c.highFrac = -0.5; });
+    expect_names("peakMultiplier",
+                 [](ServiceSimConfig &c) { c.peakMultiplier = -1.0; });
+    expect_names("overclockFraction", [](ServiceSimConfig &c) {
+        c.overclockFraction = -1.0;
+    });
+    expect_names("overclockBudgetScale", [&](ServiceSimConfig &c) {
+        c.overclockBudgetScale = nan;
+    });
+    expect_names("mlCoresPerServer", [](ServiceSimConfig &c) {
+        c.mlCoresPerServer = 1000;
+    });
+    expect_names("mlCoresPerServer",
+                 [](ServiceSimConfig &c) { c.mlCoresPerServer = 0; });
+    expect_names("vmOverheadUtil",
+                 [](ServiceSimConfig &c) { c.vmOverheadUtil = 2.0; });
+    expect_names("vmOverheadUtil",
+                 [](ServiceSimConfig &c) { c.vmOverheadUtil = -0.1; });
+    expect_names("rackLimitFactor",
+                 [&](ServiceSimConfig &c) { c.rackLimitFactor = inf; });
+    // Without MLTrain servers the per-server ML cores are unused;
+    // the smallest budget scale the constrained study runs is legal.
+    ServiceSimConfig no_ml;
+    no_ml.mlServers = 0;
+    no_ml.mlCoresPerServer = 1000;
+    EXPECT_NO_THROW(no_ml.validate());
+    ServiceSimConfig small_budget;
+    small_budget.overclockBudgetScale = 0.25;
+    small_budget.overclockFraction = 0.05;
+    EXPECT_NO_THROW(small_budget.validate());
 
     ServiceSimConfig bad;
     bad.maxInstances = 0;
