@@ -219,12 +219,10 @@ BM_BudgetSplitInto(benchmark::State &state)
     std::vector<core::ServerProfile> profiles;
     for (int i = 0; i < state.range(0); ++i)
         profiles.push_back(syntheticProfile(i));
-    core::BudgetAllocator::SplitScratch scratch;
     std::vector<core::ProfileTemplate> out;
     for (auto _ : state) {
         allocator.splitInto(
-            power::Watts{1000.0 * state.range(0)}, profiles,
-                            scratch, out);
+            power::Watts{1000.0 * state.range(0)}, profiles, out);
         benchmark::DoNotOptimize(out);
     }
     state.SetItemsProcessed(state.iterations());

@@ -562,12 +562,10 @@ main(int argc, char **argv)
     constexpr int kHierReps = 16;
 
     core::BudgetAllocator flat_alloc(harness.model);
-    core::BudgetAllocator::SplitScratch flat_scratch;
     std::vector<core::ProfileTemplate> flat_out;
     auto start = Clock::now();
     for (int rep = 0; rep < kHierReps; ++rep)
-        flat_alloc.splitInto(zone_limit, zone_profiles, flat_scratch,
-                             flat_out);
+        flat_alloc.splitInto(zone_limit, zone_profiles, flat_out);
     const double flat_us = secondsSince(start) / kHierReps * 1e6;
 
     hierarchy.recompute(zone_limit); // build aggregates, not timed

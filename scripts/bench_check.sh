@@ -30,7 +30,9 @@
 #    under PAPER_PEAK_RSS_MB_MAX — the streaming-window + resident-
 #    fleet footprint (the last measured paper_racks_per_s and
 #    paper_peak_rss_mb are recorded in BENCH_trace_sim.json; the
-#    gate landed at ~55 racks/s, ~29 GB);
+#    gate landed at ~55 racks/s, ~29 GB, and was tightened to 6000
+#    MB once budgets were stored as day rows and the split scratch
+#    became per thread, at ~5 GB);
 #  - paper-scale trace generation must stay cheaper than the replay
 #    itself (gen_s < sim_s): the batch generator must never become
 #    the bottleneck of a policy study.
@@ -43,7 +45,7 @@ HINTS_PER_S_MIN=1000000
 GEN_BATCH_SPEEDUP_MIN=1.02
 SHAPE_FILL_SPEEDUP_MIN=3
 PAPER_RACKS_PER_S_MIN=100
-PAPER_PEAK_RSS_MB_MAX=16000
+PAPER_PEAK_RSS_MB_MAX=6000
 cmake -B "$BUILD" -S "$ROOT"
 cmake --build "$BUILD" -j "$(nproc)" \
     --target bench_trace_sim bench_micro_primitives

@@ -767,15 +767,8 @@ RackRuntime::boundaryFinishZone(const core::BudgetHierarchy &hier,
     const core::ProfileTemplate &budget =
         hier.rackBudget(rackIndex_);
     usable.resize(static_cast<std::size_t>(sim::kSlotsPerWeek));
-    for (std::size_t slot = 0; slot < usable.size(); ++slot) {
-        usable[slot] = budget.predict(
-            static_cast<sim::Tick>(slot) * sim::kSlot);
-    }
+    budget.fillWeek(usable.data());
     control_->goa().recomputeWithBudget(t_, usable);
-    // Fleet-scale footprint trim: profiles are re-pulled (cheap,
-    // cache-served) at the next boundary; safe because the zone
-    // path runs with faults disabled.
-    control_->goa().releaseProfiles();
     stepMain(t_);
     t_ += config_.controlStep;
     out_.simSeconds += secondsSince(t0) - pendingRefillS_;

@@ -62,31 +62,6 @@ struct BudgetConfig {
 class BudgetAllocator
 {
   public:
-    /**
-     * Reusable working memory for splitInto.  A caller that keeps
-     * one instance across recomputes (the gOA does) makes the split
-     * allocation-free in steady state: the per-slot regular/demand
-     * scratch and the per-server weekly buffers retain their
-     * capacity between calls.
-     */
-    struct SplitScratch {
-        std::vector<double> regular;
-        std::vector<double> demand;
-        std::vector<std::vector<double>> budgets;
-        /** Materialized per-profile weeks (n x kSlotsPerWeek,
-         *  profile-major): regular power and overclock demand,
-         *  filled once per split instead of predicted per slot. */
-        std::vector<double> regularRows;
-        std::vector<double> demandRows;
-        /** One profile's template weeks (fillWeek scratch);
-         *  perCoreRow holds the surcharge model mapped over the
-         *  utilization week (fillWeekMapped). */
-        std::vector<double> powerRow;
-        std::vector<double> perCoreRow;
-        std::vector<double> ocRow;
-        std::vector<double> reqRow;
-    };
-
     BudgetAllocator(const power::PowerModel &model,
                     BudgetConfig config = {});
 
@@ -104,13 +79,13 @@ class BudgetAllocator
     /**
      * Same split, writing into caller-owned buffers.  @p out is
      * resized to profiles.size(); its templates are overwritten in
-     * place (assignWeekly), so repeated calls with the same scratch
-     * and output vectors perform no steady-state allocation.
+     * place (assignWeekly), so repeated calls with the same output
+     * vector perform no steady-state allocation: the split's working
+     * memory is one scratch per calling thread, kept between calls.
      * Results are identical to split().
      */
     void splitInto(power::Watts limit,
                    const std::vector<ServerProfile> &profiles,
-                   SplitScratch &scratch,
                    std::vector<ProfileTemplate> &out) const;
 
     /**
@@ -125,7 +100,6 @@ class BudgetAllocator
      */
     void splitWeeklyInto(const std::vector<double> &usablePerSlot,
                          const std::vector<ServerProfile> &profiles,
-                         SplitScratch &scratch,
                          std::vector<ProfileTemplate> &out) const;
 
     /**
@@ -148,7 +122,6 @@ class BudgetAllocator
      *  @p usablePerSlot when non-null, else @p usableFlat. */
     void splitImpl(const double *usablePerSlot, double usableFlat,
                    const std::vector<ServerProfile> &profiles,
-                   SplitScratch &scratch,
                    std::vector<ProfileTemplate> &out) const;
 
     const power::PowerModel &model_;

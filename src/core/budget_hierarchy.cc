@@ -48,10 +48,10 @@ ProfileAggregator::aggregate(const ServerProfile *members,
     // a representative utilization is what the flat split uses too).
     for (std::size_t slot = 0; slot < slots; ++slot)
         util_[slot] /= static_cast<double>(count);
-    out.power.assignWeekly(power_);
-    out.utilization.assignWeekly(util_);
-    out.overclockedCores.assignWeekly(oc_);
-    out.requestedCores.assignWeekly(req_);
+    out.power.assignWeekly(power_.data());
+    out.utilization.assignWeekly(util_.data());
+    out.overclockedCores.assignWeekly(oc_.data());
+    out.requestedCores.assignWeekly(req_.data());
 }
 
 int
@@ -166,15 +166,14 @@ BudgetHierarchy::recompute(power::Watts zoneLimit)
     const power::Watts usable =
         zoneLimit * (1.0 - config_.budget.safetyFraction);
     limitRow_.assign(slots, usable.count());
-    allocator_.splitWeeklyInto(limitRow_, rowAggregates_, scratch_,
-                               rowBudgets_);
+    allocator_.splitWeeklyInto(limitRow_, rowAggregates_, rowBudgets_);
     ++stats_.splits;
 
     // 4. Row -> racks, per row, over the row's per-slot budget.
     for (std::size_t row = 0; row < rowCount_; ++row) {
         rowBudgets_[row].fillWeek(limitRow_.data());
         allocator_.splitWeeklyInto(limitRow_, rackAggregates_[row],
-                                   scratch_, rackBudgets_[row]);
+                                   rackBudgets_[row]);
         ++stats_.splits;
     }
 }

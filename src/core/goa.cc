@@ -81,13 +81,12 @@ GlobalOverclockingAgent::collectProfiles(
             }
         }
         if (reached) {
-            // Snapshot read (DESIGN.md §12): the sOA serves a
-            // cached profile keyed by its aggregator versions —
-            // bit-identical to buildProfile(), but a recompute
-            // landing between slot closes copies into the existing
-            // allocation and assembles nothing, so recompute never
-            // contends with hint ingestion.
-            lastProfiles_[i] = agent->profileSnapshot();
+            // Copied in place from the sOA's aggregator caches
+            // (DESIGN.md §12): bit-identical to buildProfile(), but
+            // a recompute landing between slot closes assembles
+            // nothing and reuses this slot's allocation.  This copy
+            // is the only resident one per server.
+            agent->copyProfileInto(lastProfiles_[i]);
             lastProfileValid_[i] = true;
         } else if (lastProfileValid_[i]) {
             // Unreachable server: budget from its last known
@@ -122,7 +121,7 @@ GlobalOverclockingAgent::recompute(sim::Tick now)
 
     collectProfiles(RecomputeFaults{});
     allocator_.splitInto(rack_.limitWatts(), lastProfiles_,
-                         splitScratch_, lastBudgets_);
+                         lastBudgets_);
 
     // Perfect network: apply each assignment directly through one
     // reused payload instead of materializing a pending batch.
@@ -155,24 +154,13 @@ GlobalOverclockingAgent::recomputeWithBudget(
            static_cast<std::size_t>(sim::kSlotsPerWeek));
 
     allocator_.splitWeeklyInto(usablePerSlot, lastProfiles_,
-                               splitScratch_, lastBudgets_);
+                               lastBudgets_);
     for (std::size_t i = 0; i < agents_.size(); ++i) {
         fillAssignment(assignScratch_, i, now);
         if (!agents_[i]->assignBudget(assignScratch_, now))
             ++stats_.assignmentsRejected;
     }
     ++recomputes_;
-}
-
-void
-GlobalOverclockingAgent::releaseProfiles()
-{
-    lastProfiles_.clear();
-    lastProfiles_.shrink_to_fit();
-    // The validity flags must shrink with the storage: a later
-    // collectProfiles resizes both in lockstep.
-    lastProfileValid_.clear();
-    lastProfileValid_.shrink_to_fit();
 }
 
 std::vector<PendingAssignment>
@@ -184,7 +172,7 @@ GlobalOverclockingAgent::recompute(sim::Tick now,
 
     collectProfiles(faults);
     allocator_.splitInto(rack_.limitWatts(), lastProfiles_,
-                         splitScratch_, lastBudgets_);
+                         lastBudgets_);
 
     std::vector<PendingAssignment> pending;
     pending.reserve(agents_.size());

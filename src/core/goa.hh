@@ -192,14 +192,6 @@ class GlobalOverclockingAgent
                              const std::vector<double> &usablePerSlot);
 
     /**
-     * Drop the cached profile storage (fleet-scale footprint trim
-     * between recomputes).  Only safe when no degraded-mode fallback
-     * relies on cached profiles — i.e. fault injection is off; the
-     * next pull repopulates everything.
-     */
-    void releaseProfiles();
-
-    /**
      * Apply one pending assignment to its sOA at @p now.
      * @return true when the sOA accepted it (rejections are counted
      * in stats().assignmentsRejected).
@@ -232,12 +224,12 @@ class GlobalOverclockingAgent
     BudgetAllocator allocator_;
     std::vector<ServerOverclockingAgent *> agents_;
     std::vector<ProfileTemplate> lastBudgets_;
-    /** Profiles from the last successful pull per server; the
-     *  stale-telemetry fallback, and (in place) the split input. */
+    /** Profiles from the last successful pull per server, copied
+     *  in place from the sOAs' aggregator caches: the
+     *  stale-telemetry fallback, the split input, and the one
+     *  resident profile copy per server. */
     std::vector<ServerProfile> lastProfiles_;
     std::vector<bool> lastProfileValid_;
-    /** Reused split working memory (see SplitScratch). */
-    BudgetAllocator::SplitScratch splitScratch_;
     /** Reused assignment payload for the perfect-network path. */
     BudgetAssignment assignScratch_;
     std::uint64_t recomputes_ = 0;

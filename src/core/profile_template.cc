@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <limits>
 
 #include "sim/stats.hh"
@@ -41,21 +42,35 @@ ProfileTemplate::fromWeekly(std::vector<double> values)
     assert(values.size() ==
            static_cast<std::size_t>(sim::kSlotsPerWeek));
     ProfileTemplate out;
-    out.strategy_ = TemplateStrategy::Weekly;
-    out.weekly_ = std::move(values);
+    out.assignWeekly(values.data());
     return out;
 }
 
 void
-ProfileTemplate::assignWeekly(const std::vector<double> &values)
+ProfileTemplate::assignWeekly(const double *week)
 {
-    assert(values.size() ==
-           static_cast<std::size_t>(sim::kSlotsPerWeek));
-    strategy_ = TemplateStrategy::Weekly;
+    const auto day = static_cast<std::size_t>(sim::kSlotsPerDay);
+    const std::size_t day_bytes = day * sizeof(double);
+    bool repeats = std::memcmp(week + 5 * day, week + 6 * day,
+                               day_bytes) == 0;
+    for (std::size_t d = 1; repeats && d < 5; ++d)
+        repeats = std::memcmp(week, week + d * day, day_bytes) == 0;
+
     flatValue_ = 0.0;
-    weekday_.clear();
-    weekend_.clear();
-    weekly_ = values;
+    if (repeats) {
+        // Monday and Saturday stand for their day class; the
+        // DailyMed read paths replay them (days 5-6 are the weekend,
+        // sim::isWeekend).
+        strategy_ = TemplateStrategy::DailyMed;
+        weekday_.assign(week, week + day);
+        weekend_.assign(week + 5 * day, week + 6 * day);
+        std::vector<double>().swap(weekly_);
+    } else {
+        strategy_ = TemplateStrategy::Weekly;
+        weekly_.assign(week, week + 7 * day);
+        std::vector<double>().swap(weekday_);
+        std::vector<double>().swap(weekend_);
+    }
 }
 
 bool
@@ -162,8 +177,13 @@ ProfileTemplate::predict(sim::Tick t) const
       case TemplateStrategy::DailyMax: {
         if (weekday_.empty())
             return flatValue_;
-        const auto &day = sim::isWeekend(t) ? weekend_ : weekday_;
-        return day[sim::slotOfDay(t)];
+        // Day rows stored by assignWeekly must predict a negative
+        // tick like the week they replaced: wrap it into the week
+        // first, as the Weekly form does.
+        const sim::Tick w =
+            t < 0 ? (t % sim::kWeek) + sim::kWeek : t;
+        const auto &day = sim::isWeekend(w) ? weekend_ : weekday_;
+        return day[sim::slotOfDay(w)];
       }
     }
     return 0.0;

@@ -73,17 +73,27 @@ class ProfileTemplate
      * Template directly from one week of per-slot values
      * (sim::kSlotsPerWeek entries, Monday 00:00 first).  Used by the
      * budget allocator to hand per-slot budgets to the sOAs.
+     *
+     * A week that repeats daily — its five weekdays equal bit for
+     * bit, and so its two weekend days — is stored as one weekday
+     * and one weekend row of kSlotsPerDay values, in the DailyMed
+     * form (3.5x smaller); any other week keeps all its slots.
+     * Bit equality (memcmp) keeps -0.0 apart from 0.0 and NaN
+     * payloads exact, so both forms predict the input week at every
+     * tick, and fillWeek, fillWeekMapped, peak and trough agree too.
+     * Every online budget and aggregate repeats: the split is a pure
+     * per-slot function of DailyMed or flat inputs.
      */
     static ProfileTemplate fromWeekly(std::vector<double> values);
 
     /**
-     * Overwrite this template in place with one week of per-slot
-     * values (same semantics as fromWeekly).  Copy-assigns into the
-     * existing weekly storage, so a template that is rebuilt every
-     * recompute (the budget allocator's steady state) reuses its
-     * allocation instead of producing a fresh 2016-entry vector.
+     * Overwrite this template in place with the sim::kSlotsPerWeek
+     * values at @p week (same semantics and storage as fromWeekly).
+     * Copy-assigns into the existing rows, so a template that is
+     * rebuilt every recompute (the budget allocator's steady state)
+     * reuses its allocation.
      */
-    void assignWeekly(const std::vector<double> &values);
+    void assignWeekly(const double *week);
 
     TemplateStrategy strategy() const { return strategy_; }
 
@@ -193,11 +203,13 @@ class ProfileTemplate
     friend class SlotAggregator;
     TemplateStrategy strategy_ = TemplateStrategy::FlatMed;
     double flatValue_ = 0.0;
-    /** Per slot-of-day values for weekdays (DailyMed/DailyMax). */
+    /** Per slot-of-day values for weekdays (DailyMed/DailyMax,
+     *  and a daily-repeating assignWeekly). */
     std::vector<double> weekday_;
-    /** Per slot-of-day values for weekends (DailyMed/DailyMax). */
+    /** Per slot-of-day values for weekends (as weekday_). */
     std::vector<double> weekend_;
-    /** Per slot-of-week values (Weekly / fromWeekly). */
+    /** Per slot-of-week values (Weekly, and an assignWeekly week
+     *  that does not repeat daily). */
     std::vector<double> weekly_;
 };
 

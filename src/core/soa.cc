@@ -817,9 +817,6 @@ ServerOverclockingAgent::crashRestart(sim::Tick now)
     ownPower_ = ProfileTemplate();
     ownTemplateValid_ = false;
     ownPowerVersion_ = 0;
-    // Aggregator versions restart from zero below, so the snapshot
-    // key would collide with the pre-crash one; invalidate it.
-    profileSnapshotValid_ = false;
 
     // Telemetry accumulators restart empty (history is agent-local;
     // the next recompute sees a short history, which is the real
@@ -873,38 +870,33 @@ ServerOverclockingAgent::refreshOwnTemplate()
 ServerProfile
 ServerOverclockingAgent::buildProfile()
 {
+    ServerProfile profile;
+    assignProfile(profile);
+    return profile;
+}
+
+void
+ServerOverclockingAgent::copyProfileInto(ServerProfile &out)
+{
+    refreshOwnTemplate();
+    assignProfile(out);
+}
+
+void
+ServerOverclockingAgent::assignProfile(ServerProfile &out)
+{
     const std::uint64_t misses_before = powerAgg_.rebuildCount() +
         utilAgg_.rebuildCount() + grantedCoresAgg_.rebuildCount() +
         requestedCoresAgg_.rebuildCount();
-    ServerProfile profile;
-    profile.power = powerAgg_.build();
-    profile.utilization = utilAgg_.build();
-    profile.overclockedCores = grantedCoresAgg_.build();
-    profile.requestedCores = requestedCoresAgg_.build();
+    out.power = powerAgg_.build();
+    out.utilization = utilAgg_.build();
+    out.overclockedCores = grantedCoresAgg_.build();
+    out.requestedCores = requestedCoresAgg_.build();
     const std::uint64_t misses = powerAgg_.rebuildCount() +
         utilAgg_.rebuildCount() + grantedCoresAgg_.rebuildCount() +
         requestedCoresAgg_.rebuildCount() - misses_before;
     stats_.templateRebuilds += misses;
     stats_.templateCacheHits += 4 - misses;
-    return profile;
-}
-
-const ServerProfile &
-ServerOverclockingAgent::profileSnapshot()
-{
-    refreshOwnTemplate();
-    // Versions only ever increment, so their sum is a monotone key
-    // for "any telemetry slot closed since the last snapshot".
-    const std::uint64_t version = powerAgg_.version() +
-        utilAgg_.version() + grantedCoresAgg_.version() +
-        requestedCoresAgg_.version();
-    if (!profileSnapshotValid_ ||
-        version != profileSnapshotVersion_) {
-        profileSnapshot_ = buildProfile();
-        profileSnapshotVersion_ = version;
-        profileSnapshotValid_ = true;
-    }
-    return profileSnapshot_;
 }
 
 } // namespace core

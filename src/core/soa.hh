@@ -321,15 +321,14 @@ class ServerOverclockingAgent : public power::RackPowerListener
     ServerProfile buildProfile();
 
     /**
-     * Snapshot read of this server's profile for the gOA recompute
-     * (DESIGN.md §12): refreshes the own template, then serves a
-     * cached ServerProfile keyed by the telemetry aggregators'
-     * versions — bit-identical to buildProfile(), but recomputes
-     * that land between slot closes are answered without assembling
-     * (or allocating) anything, so budget recompute never contends
-     * with hint ingestion for the telemetry state.
+     * The gOA's profile pull (DESIGN.md §12): refreshes the own
+     * template, then copies each template of buildProfile() from its
+     * aggregator's cache into @p out, overwriting it in place.  A
+     * pull that lands between slot closes assembles nothing, and one
+     * into a slot of the same shape allocates nothing, so the sOA
+     * keeps no profile copy of its own.
      */
-    const ServerProfile &profileSnapshot();
+    void copyProfileInto(ServerProfile &out);
 
     /**
      * Rebuild the agent's own power template from its history; used
@@ -386,6 +385,10 @@ class ServerOverclockingAgent : public power::RackPowerListener
 
     /** Flush per-slot telemetry when a 5-minute boundary passes. */
     void telemetryCollection(sim::Tick now);
+
+    /** Copy-assign the four aggregator templates into @p out and
+     *  count their cache hits and rebuilds. */
+    void assignProfile(ServerProfile &out);
 
     /** Feed one closed slot's averages to the aggregators and make
      *  them the last closed slot. */
@@ -454,11 +457,6 @@ class ServerOverclockingAgent : public power::RackPowerListener
     /** Last stopOverclock time per group, for the flap-hysteresis
      *  window (ordered per DET-003; empty while flapHoldoff == 0). */
     std::map<int, sim::Tick> lastStopAt_;
-    /** profileSnapshot cache: the assembled profile plus the
-     *  aggregator-version key it was built under. */
-    ServerProfile profileSnapshot_;
-    bool profileSnapshotValid_ = false;
-    std::uint64_t profileSnapshotVersion_ = 0;
     /** Until when a power-based denial keeps the agent "constrained"
      *  for exploration purposes. */
     sim::Tick powerDenialUntil_ = 0;

@@ -41,12 +41,13 @@ requireProb(double p, const char *name)
 }
 
 void
-requireNonNegative(double v, const char *name)
+requireFinite(double v, const char *name, bool nonNegative)
 {
-    if (!(v >= 0.0)) {
+    if (!std::isfinite(v) || (nonNegative && v < 0.0)) {
         throw std::invalid_argument(
-            std::string("FaultConfig: ") + name +
-            " must be >= 0, got " + std::to_string(v));
+            std::string("FaultConfig: ") + name + " must be finite" +
+            (nonNegative ? " and >= 0" : "") + ", got " +
+            std::to_string(v));
     }
 }
 
@@ -55,14 +56,15 @@ requireNonNegative(double v, const char *name)
 void
 FaultConfig::validate() const
 {
-    requireNonNegative(goaOutagesPerWeek, "goaOutagesPerWeek");
-    requireNonNegative(soaCrashesPerServerWeek,
-                       "soaCrashesPerServerWeek");
+    requireFinite(goaOutagesPerWeek, "goaOutagesPerWeek", true);
+    requireFinite(soaCrashesPerServerWeek, "soaCrashesPerServerWeek",
+                  true);
     requireProb(telemetryLossProb, "telemetryLossProb");
     requireProb(budgetLossProb, "budgetLossProb");
     requireProb(budgetDelayProb, "budgetDelayProb");
     requireProb(budgetCorruptProb, "budgetCorruptProb");
-    requireNonNegative(sensorNoiseStd, "sensorNoiseStd");
+    requireFinite(sensorNoiseStd, "sensorNoiseStd", true);
+    requireFinite(sensorBias, "sensorBias", false);
     if (goaOutageMeanDuration < 0) {
         throw std::invalid_argument(
             "FaultConfig: goaOutageMeanDuration must be >= 0");

@@ -76,7 +76,8 @@ struct FaultConfig {
     /** Salt separating fault streams from workload streams. */
     std::uint64_t salt = 0xFA17FA17FA17FA17ULL;
 
-    /** Throws std::invalid_argument on out-of-range knobs. */
+    /** Throws std::invalid_argument on out-of-range or non-finite
+     *  knobs. */
     void validate() const;
 
     /** The standard chaos load used by bench_table_faults and the

@@ -357,6 +357,47 @@ TEST(ChaosValidation, TraceSimValidationMessagesName)
     }
 }
 
+TEST(ChaosValidation, FaultRatesMustBeFinite)
+{
+    // An infinite rate used to pass validation and schedule faults
+    // without end; a NaN noise or bias poisons every sensor reading.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const auto expect_names = [](const std::string &field,
+                                 auto mutate) {
+        TraceSimConfig trace;
+        trace.faults = sim::FaultConfig::standardChaos();
+        mutate(trace.faults);
+        expectRejectedNaming(trace, field);
+        ServiceSimConfig service;
+        service.faults = sim::FaultConfig::standardChaos();
+        mutate(service.faults);
+        expectRejectedNaming(service, field);
+    };
+    for (const double bad : {inf, nan}) {
+        expect_names("goaOutagesPerWeek", [&](sim::FaultConfig &f) {
+            f.goaOutagesPerWeek = bad;
+        });
+        expect_names("soaCrashesPerServerWeek",
+                     [&](sim::FaultConfig &f) {
+                         f.soaCrashesPerServerWeek = bad;
+                     });
+        expect_names("sensorNoiseStd", [&](sim::FaultConfig &f) {
+            f.sensorNoiseStd = bad;
+        });
+        expect_names("sensorBias",
+                     [&](sim::FaultConfig &f) { f.sensorBias = bad; });
+    }
+    expect_names("sensorBias",
+                 [&](sim::FaultConfig &f) { f.sensorBias = -inf; });
+
+    // A negative bias (the sensor reads low) stays legal.
+    sim::FaultConfig low = sim::FaultConfig::standardChaos();
+    low.sensorBias = -0.02;
+    EXPECT_NO_THROW(low.validate());
+    EXPECT_NO_THROW(sim::FaultConfig::standardChaos().validate());
+}
+
 TEST(ChaosValidation, ServiceSimConfigRejectsNonsense)
 {
     const auto expect_throws = [](auto mutate) {

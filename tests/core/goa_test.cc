@@ -1,7 +1,10 @@
 /** @file Behavioural tests for the Global Overclocking Agent. */
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/goa.hh"
@@ -157,4 +160,41 @@ TEST(Goa, TwoPhaseConstantRowMatchesRecompute)
     // The recompute actually moved off the bootstrap even split.
     EXPECT_FALSE(flat.goa.lastBudgets()[0] ==
                  flat.goa.lastBudgets()[1]);
+}
+
+TEST(Goa, ResidentHeapPerServerIsBounded)
+{
+    // What a rack keeps between recomputes (its gOA, sOAs and
+    // servers) after a day of telemetry and two recomputes, per
+    // server.  The split's working memory is per thread, so the rack
+    // is driven on a worker thread whose scratch dies with it.
+    // Heap in use: arena chunks plus mmap'd ones, over all arenas.
+    auto heap_in_use = [] {
+        const struct mallinfo2 info = mallinfo2();
+        return static_cast<long long>(info.uordblks + info.hblkhd);
+    };
+    constexpr int kServers = 8;
+    const long long before = heap_in_use();
+    std::unique_ptr<Fixture> fx;
+    std::thread driver([&] {
+        fx = std::make_unique<Fixture>(kServers);
+        fx->goa.assignEvenSplit();
+        for (Tick t = 0; t < sim::kDay; t += kMinute) {
+            for (auto &soa : fx->soas)
+                soa->tick(t);
+            if (t == sim::kDay / 2)
+                fx->goa.recompute(t);
+        }
+        fx->goa.recompute(sim::kDay);
+    });
+    driver.join();
+    ASSERT_EQ(fx->goa.recomputeCount(), 2u);
+    const long long per_server =
+        (heap_in_use() - before) / kServers;
+    // About 74 KiB today.  Budgets stored as 2,016-slot weeks
+    // (+23 KiB for the gOA's and the sOA's copy), a second profile
+    // copy (+18 KiB) or gOA-held split scratch (+47 KiB) would each
+    // break this bound.
+    EXPECT_LE(per_server, 88 * 1024)
+        << "resident heap per server: " << per_server << " B";
 }

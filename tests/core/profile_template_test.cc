@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "core/profile_template.hh"
 #include "workload/trace_generator.hh"
 
@@ -193,4 +200,133 @@ TEST(ProfileTemplate, StrategyNames)
 {
     EXPECT_EQ(strategyName(TemplateStrategy::DailyMed), "DailyMed");
     EXPECT_EQ(strategyName(TemplateStrategy::FlatMax), "FlatMax");
+}
+
+namespace
+{
+
+/** Same bits, or both NaN (a mapped NaN need not keep its payload). */
+bool
+sameValue(double a, double b)
+{
+    return (std::isnan(a) && std::isnan(b)) ||
+        std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/** A week whose weekdays all repeat one shape and whose two weekend
+ *  days repeat another. */
+std::vector<double>
+dailyWeek()
+{
+    const auto day = static_cast<std::size_t>(sim::kSlotsPerDay);
+    std::vector<double> week(
+        static_cast<std::size_t>(sim::kSlotsPerWeek));
+    for (std::size_t slot = 0; slot < week.size(); ++slot) {
+        const std::size_t s = slot % day;
+        week[slot] = slot / day >= 5 ? 40.0 + 0.25 * s
+                                     : 300.0 - 0.5 * s;
+    }
+    return week;
+}
+
+/** @p tmpl reproduces @p week through every read path. */
+void
+expectReplaysWeek(const ProfileTemplate &tmpl,
+                  const std::vector<double> &week)
+{
+    const auto slots = static_cast<std::size_t>(sim::kSlotsPerWeek);
+    std::vector<double> filled(slots);
+    std::vector<double> mapped(slots);
+    const auto fn = [](double v) { return 2.0 * v + 1.0; };
+    tmpl.fillWeek(filled.data());
+    tmpl.fillWeekMapped(mapped.data(), fn);
+    for (std::size_t slot = 0; slot < slots; ++slot) {
+        const auto t = static_cast<sim::Tick>(slot) * kSlot;
+        ASSERT_TRUE(sameValue(tmpl.predict(t), week[slot])) << slot;
+        ASSERT_TRUE(
+            sameValue(tmpl.predict(t + 3 * kWeek), week[slot]))
+            << slot;
+        ASSERT_TRUE(sameValue(tmpl.predict(t - kWeek), week[slot]))
+            << slot;
+        ASSERT_TRUE(sameValue(filled[slot], week[slot])) << slot;
+        ASSERT_TRUE(sameValue(mapped[slot], fn(week[slot]))) << slot;
+    }
+    // peak/trough of a stored week: std::max/min folds from 0.0 and
+    // +inf, which skip NaN.
+    double peak = 0.0;
+    double trough = std::numeric_limits<double>::infinity();
+    for (double v : week) {
+        peak = std::max(peak, v);
+        trough = std::min(trough, v);
+    }
+    EXPECT_TRUE(sameValue(tmpl.peak(), peak));
+    EXPECT_TRUE(sameValue(tmpl.trough(), trough));
+}
+
+} // namespace
+
+TEST(ProfileTemplate, RepeatingWeekStoredAsDayRows)
+{
+    const auto week = dailyWeek();
+    const auto from = ProfileTemplate::fromWeekly(week);
+    ProfileTemplate assigned = ProfileTemplate::flat(7.0);
+    assigned.assignWeekly(week.data());
+    for (const ProfileTemplate *tmpl :
+         {&from, &std::as_const(assigned)}) {
+        // Stored as one weekday and one weekend row.
+        EXPECT_EQ(tmpl->strategy(), TemplateStrategy::DailyMed);
+        expectReplaysWeek(*tmpl, week);
+    }
+    EXPECT_TRUE(from == assigned);
+
+    // Weekdays that repeat one NaN bit for bit still repeat.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const auto day = static_cast<std::size_t>(sim::kSlotsPerDay);
+    auto nan_days = week;
+    for (std::size_t d = 0; d < 5; ++d)
+        nan_days[d * day + 17] = nan;
+    const auto nan_tmpl = ProfileTemplate::fromWeekly(nan_days);
+    EXPECT_EQ(nan_tmpl.strategy(), TemplateStrategy::DailyMed);
+    expectReplaysWeek(nan_tmpl, nan_days);
+}
+
+TEST(ProfileTemplate, NonRepeatingWeekKeepsEverySlot)
+{
+    const auto day = static_cast<std::size_t>(sim::kSlotsPerDay);
+    auto one_slot = dailyWeek();
+    one_slot[2 * day + 100] += 1.0; // Wednesday differs once
+    auto sunday = dailyWeek();
+    sunday[6 * day + 5] -= 1.0; // the weekend days differ once
+    auto signed_zero = dailyWeek();
+    for (std::size_t d = 0; d < 5; ++d)
+        signed_zero[d * day + 7] = 0.0;
+    signed_zero[1 * day + 7] = -0.0; // == 0.0, but other bits
+    auto one_nan = dailyWeek();
+    one_nan[3 * day + 42] = std::numeric_limits<double>::quiet_NaN();
+
+    for (const auto *week :
+         {&one_slot, &sunday, &signed_zero, &one_nan}) {
+        const auto from = ProfileTemplate::fromWeekly(*week);
+        ProfileTemplate assigned;
+        assigned.assignWeekly(week->data());
+        for (const ProfileTemplate *tmpl :
+             {&from, &std::as_const(assigned)}) {
+            EXPECT_EQ(tmpl->strategy(), TemplateStrategy::Weekly);
+            expectReplaysWeek(*tmpl, *week);
+        }
+    }
+    // The -0.0 survives where a value comparison would have merged
+    // it into Monday's 0.0.
+    EXPECT_TRUE(std::signbit(
+        ProfileTemplate::fromWeekly(signed_zero).predict(
+            kDay + 7 * kSlot)));
+
+    // Reassigning switches representation both ways.
+    ProfileTemplate tmpl = ProfileTemplate::fromWeekly(one_slot);
+    tmpl.assignWeekly(dailyWeek().data());
+    EXPECT_EQ(tmpl.strategy(), TemplateStrategy::DailyMed);
+    EXPECT_TRUE(tmpl == ProfileTemplate::fromWeekly(dailyWeek()));
+    tmpl.assignWeekly(one_slot.data());
+    EXPECT_EQ(tmpl.strategy(), TemplateStrategy::Weekly);
+    expectReplaysWeek(tmpl, one_slot);
 }

@@ -501,12 +501,12 @@ TEST(Soa, TelemetryStateIndependentOfHorizon)
         const struct mallinfo2 info = mallinfo2();
         return static_cast<long long>(info.uordblks + info.hblkhd);
     };
+    ServerProfile profile;
     long long heap_week2 = 0;
     for (int week = 0; week < 6; ++week) {
         fx.run(week * sim::kWeek, (week + 1) * sim::kWeek - kMinute,
                kMinute);
-        fx.soa->refreshOwnTemplate();
-        (void)fx.soa->profileSnapshot();
+        fx.soa->copyProfileInto(profile);
         if (week == 1)
             heap_week2 = heap_in_use();
     }
