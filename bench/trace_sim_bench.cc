@@ -3,7 +3,8 @@
  * Simulator-throughput and recompute-cost benchmark driver.
  *
  * Measurements, written as JSON (default BENCH_trace_sim.json) so
- * scripts/bench_check.sh and CI can track regressions:
+ * scripts/bench_check.sh and CI can track regressions, after an
+ * "env" stamp (worker threads, cores, build type, LTO, commit):
  *
  *  1. End-to-end wall time of a multi-rack trace-simulator run
  *     (racks/sec of simulated fleet).
@@ -61,6 +62,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -69,6 +71,7 @@
 #include "core/goa.hh"
 #include "hint_storm_common.hh"
 #include "sim/rng.hh"
+#include "sim/thread_pool.hh"
 #include "sim/time.hh"
 #include "workload/trace_generator.hh"
 
@@ -437,6 +440,29 @@ runPaperScale(const Args &args)
     return out;
 }
 
+/**
+ * The environment stamp every JSON this bench writes opens with:
+ * its numbers compare with a later run's only at the same worker
+ * threads, cores, build type and LTO, and the commit says which
+ * code they measured.
+ */
+void
+printEnvJson(std::FILE *out, const Args &args)
+{
+    std::fprintf(out,
+                 "  \"env\": {\n"
+                 "    \"threads\": %d,\n"
+                 "    \"nproc\": %u,\n"
+                 "    \"build_type\": \"%s\",\n"
+                 "    \"lto\": %s,\n"
+                 "    \"git_sha\": \"%s\"\n"
+                 "  },\n",
+                 sim::ThreadPool::resolveThreads(args.threads),
+                 std::thread::hardware_concurrency(),
+                 SOC_BENCH_BUILD_TYPE, SOC_BENCH_LTO ? "true" : "false",
+                 SOC_BENCH_GIT_SHA);
+}
+
 void
 printPaperScaleJson(std::FILE *out, const Args &args,
                     const PaperScaleResult &paper)
@@ -485,6 +511,7 @@ main(int argc, char **argv)
             return 1;
         }
         std::fprintf(out, "{\n");
+        printEnvJson(out, args);
         printPaperScaleJson(out, args, paper);
         std::fprintf(out, "}\n");
         std::fclose(out);
@@ -604,8 +631,9 @@ main(int argc, char **argv)
         std::fprintf(stderr, "cannot open %s\n", args.outPath);
         return 1;
     }
+    std::fprintf(out, "{\n");
+    printEnvJson(out, args);
     std::fprintf(out,
-                 "{\n"
                  "  \"trace_sim\": {\n"
                  "    \"racks\": %d,\n"
                  "    \"servers_per_rack\": %d,\n"

@@ -5,7 +5,9 @@
 # hierarchical budget tier, hint-ingestion throughput under the
 # standard adversarial storm, batch normal generation, the tabled
 # shape fill, and the 7,104-rack paper-scale
-# streaming replay).  Gates:
+# streaming replay), stamped with the worker threads, cores, build
+# type, LTO and commit it ran on.  Gates:
+#  - the environment stamp must be present;
 #  - replay throughput must stay at or above RACKS_PER_S_MIN
 #    (struct-of-arrays replay baseline, with margin for CI noise);
 #  - the 6-week recompute must stay within 2x of the 1-day one —
@@ -62,6 +64,27 @@ extract() {
     fi
     echo "$VALUE"
 }
+
+# Environment stamp: a number is comparable with a later run's only
+# at the same threads, cores, build type and LTO, and the commit
+# says what it measured.  A missing or empty field fails.
+stamp() {
+    VALUE=$(sed -n "s/^    \"$1\": \"*\([^\",]*\)\"*,*$/\1/p" \
+        "$ROOT/BENCH_trace_sim.json" | head -n 1)
+    if [ -z "$VALUE" ]; then
+        echo "FAIL: stamp field '$1' missing from" \
+             "BENCH_trace_sim.json" >&2
+        exit 1
+    fi
+    echo "$VALUE"
+}
+STAMP_THREADS=$(stamp threads)
+STAMP_NPROC=$(stamp nproc)
+STAMP_BUILD=$(stamp build_type)
+STAMP_LTO=$(stamp lto)
+STAMP_SHA=$(stamp git_sha)
+echo "bench environment: threads=$STAMP_THREADS nproc=$STAMP_NPROC" \
+     "build=$STAMP_BUILD lto=$STAMP_LTO commit=$STAMP_SHA"
 
 RACKS_PER_S=$(extract racks_per_s)
 echo "replay throughput: $RACKS_PER_S racks/s" \

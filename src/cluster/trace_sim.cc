@@ -213,7 +213,7 @@ class RackRuntime
      * Second half of a lockstep boundary step: fetch this rack's
      * budget from @p hier (read-only — safe concurrently), push it
      * through the gOA, then run the remainder of the step.
-     * @p usable is per-worker scratch for the per-slot budget row.
+     * @p usable is per-worker scratch for the budget's day rows.
      */
     void boundaryFinishZone(const core::BudgetHierarchy &hier,
                             std::vector<double> &usable);
@@ -766,9 +766,9 @@ RackRuntime::boundaryFinishZone(const core::BudgetHierarchy &hier,
     pendingRefillS_ = 0.0;
     const core::ProfileTemplate &budget =
         hier.rackBudget(rackIndex_);
-    usable.resize(static_cast<std::size_t>(sim::kSlotsPerWeek));
-    budget.fillWeek(usable.data());
-    control_->goa().recomputeWithBudget(t_, usable);
+    usable.resize(core::ProfileTemplate::kDayRowSlots);
+    budget.fillDayRows(usable.data());
+    control_->goa().recomputeWithDayRows(t_, usable.data());
     stepMain(t_);
     t_ += config_.controlStep;
     out_.simSeconds += secondsSince(t0) - pendingRefillS_;

@@ -1,7 +1,9 @@
 #include "core/budget_allocator.hh"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <stdexcept>
 
 namespace soc
 {
@@ -18,13 +20,13 @@ namespace
  * capacity.
  */
 struct SplitScratch {
-    /** Materialized per-profile weeks (n x kSlotsPerWeek,
+    /** Materialized per-profile day rows (n x kDayRowSlots,
      *  profile-major): regular power, overwritten slot by slot with
      *  the budget, and overclock demand. */
     std::vector<double> regularRows;
     std::vector<double> demandRows;
-    /** The surcharge model mapped over one utilization week
-     *  (fillWeekMapped). */
+    /** The surcharge model mapped over one utilization template's
+     *  day rows (fillDayRowsMapped). */
     std::vector<double> perCoreRow;
 };
 
@@ -73,7 +75,7 @@ BudgetAllocator::splitInto(power::Watts limit,
                            const std::vector<ServerProfile> &profiles,
                            std::vector<ProfileTemplate> &out) const
 {
-    // Scratch buffers feed ProfileTemplate::assignWeekly, which
+    // Scratch buffers feed ProfileTemplate::assignDayRows, which
     // stores raw doubles; the unit drops to a raw count only at
     // the splitImpl boundary below.
     const power::Watts usable =
@@ -89,25 +91,44 @@ BudgetAllocator::splitWeeklyInto(
 {
     assert(usablePerSlot.size() ==
            static_cast<std::size_t>(sim::kSlotsPerWeek));
-    splitImpl(usablePerSlot.data(), 0.0, profiles, out);
+    const double *week = usablePerSlot.data();
+    if (!ProfileTemplate::repeatsDaily(week)) {
+        throw std::invalid_argument(
+            "BudgetAllocator: per-slot limit does not repeat daily");
+    }
+    // Monday and Saturday stand for their day class.
+    const auto day = static_cast<std::size_t>(sim::kSlotsPerDay);
+    std::array<double, ProfileTemplate::kDayRowSlots> rows;
+    std::copy(week, week + day, rows.begin());
+    std::copy(week + 5 * day, week + 6 * day, rows.begin() + day);
+    splitImpl(rows.data(), 0.0, profiles, out);
 }
 
 void
-BudgetAllocator::splitImpl(const double *usablePerSlot,
+BudgetAllocator::splitDayRowsInto(
+    const double *usableDayRows,
+    const std::vector<ServerProfile> &profiles,
+    std::vector<ProfileTemplate> &out) const
+{
+    splitImpl(usableDayRows, 0.0, profiles, out);
+}
+
+void
+BudgetAllocator::splitImpl(const double *usableDayRows,
                            double usableFlat,
                            const std::vector<ServerProfile> &profiles,
                            std::vector<ProfileTemplate> &out) const
 {
     assert(!profiles.empty());
     const std::size_t n = profiles.size();
-    const auto slots = static_cast<std::size_t>(sim::kSlotsPerWeek);
+    const std::size_t slots = ProfileTemplate::kDayRowSlots;
 
     // Reused call to call on this thread (resize keeps capacity).
     thread_local SplitScratch scratch;
 
     // Phase 1: materialize each profile's regular-power and
-    // overclock-demand weeks up front (profile-outer, bulk
-    // fillWeek), instead of 5 predict() calls per (slot, server).
+    // overclock-demand day rows up front (profile-outer, bulk
+    // fillDayRows), instead of 5 predict() calls per (slot, server).
     // The expressions mirror regularPower()/overclockDemand()
     // exactly — including computing the per-core surcharge once
     // from the same utilization both share — so every stored value
@@ -115,10 +136,10 @@ BudgetAllocator::splitImpl(const double *usablePerSlot,
     // row is first filled with the template it is computed from
     // (power, then overclocked and requested cores), then rewritten
     // in place.  The surcharge model is mapped over the utilization
-    // template with fillWeekMapped: a pure function of the
-    // utilization value, so evaluating it per distinct stored value
-    // (576 for DailyMed instead of 2016) changes nothing, while the
-    // model evaluation per (server, slot) dominated recompute cost.
+    // template with fillDayRowsMapped: a pure function of the
+    // utilization value, so evaluating it per stored value (one
+    // call for a flat template) changes nothing, while the model
+    // evaluation per (server, slot) dominated recompute cost.
     scratch.regularRows.resize(n * slots);
     scratch.demandRows.resize(n * slots);
     scratch.perCoreRow.resize(slots);
@@ -126,14 +147,14 @@ BudgetAllocator::splitImpl(const double *usablePerSlot,
     for (std::size_t i = 0; i < n; ++i) {
         double *regular_row = &scratch.regularRows[i * slots];
         double *demand_row = &scratch.demandRows[i * slots];
-        profiles[i].utilization.fillWeekMapped(
+        profiles[i].utilization.fillDayRowsMapped(
             scratch.perCoreRow.data(), [this](double util) {
                 return model_
                     .overclockExtraPower(util, config_.demandFreq, 1)
                     .count();
             });
-        profiles[i].power.fillWeek(regular_row);
-        profiles[i].overclockedCores.fillWeek(demand_row);
+        profiles[i].power.fillDayRows(regular_row);
+        profiles[i].overclockedCores.fillDayRows(demand_row);
         for (std::size_t slot = 0; slot < slots; ++slot) {
             const power::Watts surcharge =
                 power::Watts{per_core_row[slot]} *
@@ -143,7 +164,7 @@ BudgetAllocator::splitImpl(const double *usablePerSlot,
                          power::Watts{regular_row[slot]} - surcharge)
                     .count();
         }
-        profiles[i].requestedCores.fillWeek(demand_row);
+        profiles[i].requestedCores.fillDayRows(demand_row);
         for (std::size_t slot = 0; slot < slots; ++slot) {
             demand_row[slot] = (power::Watts{per_core_row[slot]} *
                                 std::max(0.0, demand_row[slot]))
@@ -152,8 +173,8 @@ BudgetAllocator::splitImpl(const double *usablePerSlot,
     }
 
     for (std::size_t slot = 0; slot < slots; ++slot) {
-        const double usable = usablePerSlot != nullptr
-            ? usablePerSlot[slot]
+        const double usable = usableDayRows != nullptr
+            ? usableDayRows[slot]
             : usableFlat;
         double *regular = &scratch.regularRows[slot];
         const double *demand = &scratch.demandRows[slot];
@@ -188,10 +209,10 @@ BudgetAllocator::splitImpl(const double *usablePerSlot,
         }
     }
 
-    // Each regular row now holds its server's budget week.
+    // Each regular row now holds its server's budget day rows.
     out.resize(n);
     for (std::size_t i = 0; i < n; ++i)
-        out[i].assignWeekly(&scratch.regularRows[i * slots]);
+        out[i].assignDayRows(&scratch.regularRows[i * slots]);
 }
 
 } // namespace core

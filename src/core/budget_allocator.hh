@@ -56,8 +56,13 @@ struct BudgetConfig {
 };
 
 /**
- * The gOA's budget allocator.  Stateless; one call produces a full
- * week of per-slot budgets for every server.
+ * The gOA's budget allocator.  Stateless; one call produces every
+ * server's per-slot budgets over the week's day rows
+ * (ProfileTemplate::kDayRowSlots): every input repeats daily and the
+ * split is a pure per-slot function, so the budgets repeat daily
+ * too.  An input that does not repeat daily (a Weekly template, or
+ * a per-slot limit whose weekdays or weekend days differ) is
+ * rejected with std::invalid_argument.
  */
 class BudgetAllocator
 {
@@ -70,7 +75,8 @@ class BudgetAllocator
      *
      * @param limit    Rack power limit.
      * @param profiles One profile per server.
-     * @return one weekly budget template per server, same order.
+     * @return one budget template per server (day rows), same
+     *         order.
      */
     std::vector<ProfileTemplate>
     split(power::Watts limit,
@@ -79,7 +85,7 @@ class BudgetAllocator
     /**
      * Same split, writing into caller-owned buffers.  @p out is
      * resized to profiles.size(); its templates are overwritten in
-     * place (assignWeekly), so repeated calls with the same output
+     * place (assignDayRows), so repeated calls with the same output
      * vector perform no steady-state allocation: the split's working
      * memory is one scratch per calling thread, kept between calls.
      * Results are identical to split().
@@ -94,13 +100,27 @@ class BudgetAllocator
      * (sim::kSlotsPerWeek entries) and is consumed as-is — no
      * safety fraction is re-applied, so a hierarchy applying the
      * margin once at the top level can pass intermediate budgets
-     * down unchanged (see core/budget_hierarchy.hh).  With a
-     * constant row equal to limit * (1 - safetyFraction) this is
-     * bit-identical to splitInto.
+     * down unchanged (see core/budget_hierarchy.hh).  The row must
+     * repeat daily (ProfileTemplate::repeatsDaily; std::invalid_
+     * argument otherwise) and is reduced to its day rows for
+     * splitDayRowsInto.  With a constant row equal to
+     * limit * (1 - safetyFraction) this is bit-identical to
+     * splitInto.
      */
     void splitWeeklyInto(const std::vector<double> &usablePerSlot,
                          const std::vector<ServerProfile> &profiles,
                          std::vector<ProfileTemplate> &out) const;
+
+    /**
+     * splitWeeklyInto over a per-slot limit given as day rows:
+     * @p usableDayRows holds ProfileTemplate::kDayRowSlots
+     * usable-watts values (weekday row, then weekend row), as
+     * ProfileTemplate::fillDayRows writes them.  The form the
+     * hierarchy and the replay hand budgets down in.
+     */
+    void splitDayRowsInto(const double *usableDayRows,
+                          const std::vector<ServerProfile> &profiles,
+                          std::vector<ProfileTemplate> &out) const;
 
     /**
      * Regular (non-overclock) power of a server at @p t: predicted
@@ -118,9 +138,9 @@ class BudgetAllocator
                                  sim::Tick t) const;
 
   private:
-    /** Shared split loop: per-slot usable watts come from
-     *  @p usablePerSlot when non-null, else @p usableFlat. */
-    void splitImpl(const double *usablePerSlot, double usableFlat,
+    /** Shared split loop over day rows: per-slot usable watts come
+     *  from @p usableDayRows when non-null, else @p usableFlat. */
+    void splitImpl(const double *usableDayRows, double usableFlat,
                    const std::vector<ServerProfile> &profiles,
                    std::vector<ProfileTemplate> &out) const;
 

@@ -20,19 +20,19 @@ ProfileAggregator::aggregate(const ServerProfile *members,
                              std::size_t count, ServerProfile &out)
 {
     assert(count > 0);
-    const auto slots = static_cast<std::size_t>(sim::kSlotsPerWeek);
+    const std::size_t slots = ProfileTemplate::kDayRowSlots;
     power_.assign(slots, 0.0);
     util_.assign(slots, 0.0);
     oc_.assign(slots, 0.0);
     req_.assign(slots, 0.0);
-    // Member-outer with a bulk fillWeek per template: each slot
-    // still accumulates members in index order, so the sums are
-    // bit-identical to the per-tick predict loop this replaces —
-    // without re-deriving slot-of-week 2016 times per template.
+    // Member-outer with a bulk fillDayRows per template: each slot
+    // accumulates members in index order, so every sum is
+    // bit-identical to a per-tick predict loop over the week, whose
+    // weekdays (and weekend days) repeat these rows.
     row_.resize(slots);
     const auto accumulate = [&](const ProfileTemplate &tmpl,
                                 std::vector<double> &acc) {
-        tmpl.fillWeek(row_.data());
+        tmpl.fillDayRows(row_.data());
         for (std::size_t slot = 0; slot < slots; ++slot)
             acc[slot] += row_[slot];
     };
@@ -48,10 +48,10 @@ ProfileAggregator::aggregate(const ServerProfile *members,
     // a representative utilization is what the flat split uses too).
     for (std::size_t slot = 0; slot < slots; ++slot)
         util_[slot] /= static_cast<double>(count);
-    out.power.assignWeekly(power_.data());
-    out.utilization.assignWeekly(util_.data());
-    out.overclockedCores.assignWeekly(oc_.data());
-    out.requestedCores.assignWeekly(req_.data());
+    out.power.assignDayRows(power_.data());
+    out.utilization.assignDayRows(util_.data());
+    out.overclockedCores.assignDayRows(oc_.data());
+    out.requestedCores.assignDayRows(req_.data());
 }
 
 int
@@ -162,18 +162,19 @@ BudgetHierarchy::recompute(power::Watts zoneLimit)
     }
 
     // 3. Zone -> rows.  The safety margin is applied here, once.
-    const auto slots = static_cast<std::size_t>(sim::kSlotsPerWeek);
     const power::Watts usable =
         zoneLimit * (1.0 - config_.budget.safetyFraction);
-    limitRow_.assign(slots, usable.count());
-    allocator_.splitWeeklyInto(limitRow_, rowAggregates_, rowBudgets_);
+    limitRow_.assign(ProfileTemplate::kDayRowSlots, usable.count());
+    allocator_.splitDayRowsInto(limitRow_.data(), rowAggregates_,
+                                rowBudgets_);
     ++stats_.splits;
 
-    // 4. Row -> racks, per row, over the row's per-slot budget.
+    // 4. Row -> racks, per row, over the row budget's day rows.
     for (std::size_t row = 0; row < rowCount_; ++row) {
-        rowBudgets_[row].fillWeek(limitRow_.data());
-        allocator_.splitWeeklyInto(limitRow_, rackAggregates_[row],
-                                   rackBudgets_[row]);
+        rowBudgets_[row].fillDayRows(limitRow_.data());
+        allocator_.splitDayRowsInto(limitRow_.data(),
+                                    rackAggregates_[row],
+                                    rackBudgets_[row]);
         ++stats_.splits;
     }
 }

@@ -16,7 +16,8 @@
  * on its own (staggered) schedule.
  *
  * Costs per recompute, with R racks of s servers grouped into rows
- * of k racks:
+ * of k racks, over the 576 day-row slots
+ * (ProfileTemplate::kDayRowSlots — every profile repeats daily):
  *
  *  - aggregation: O(s x slots) per rack whose profiles changed
  *    since the last recompute (dirty tracking — unchanged racks
@@ -24,7 +25,7 @@
  *  - splits: O((R/k + R) x slots), independent of the server count.
  *
  * The safety margin is applied once, at the zone level; the
- * intermediate splits use BudgetAllocator::splitWeeklyInto, which
+ * intermediate splits use BudgetAllocator::splitDayRowsInto, which
  * consumes per-slot limits as-is.  Everything is a pure function of
  * the registered profiles and the zone limit: recompute(), run
  * incrementally after any sequence of setRackProfiles calls, yields
@@ -54,18 +55,20 @@ struct HierarchyConfig {
 };
 
 /**
- * Sums member profiles' predictions slot by slot into one weekly
- * aggregate profile: power and core counts add, utilization is the
- * members' mean.  The reduction both hierarchy tiers use, exposed so
- * a per-rack gOA can pre-aggregate its own servers where the
- * profiles live (trace sim hot path) and hand the hierarchy one
- * profile per rack instead of servers-per-rack of them.
+ * Sums member profiles' predictions slot by slot into one aggregate
+ * profile, stored as day rows: power and core counts add,
+ * utilization is the members' mean.  Members must repeat daily (a
+ * Weekly template throws std::invalid_argument).  The reduction
+ * both hierarchy tiers use, exposed so a per-rack gOA can
+ * pre-aggregate its own servers where the profiles live (trace sim
+ * hot path) and hand the hierarchy one profile per rack instead of
+ * servers-per-rack of them.
  * Allocation-free after the first aggregate() (scratch retained).
  */
 class ProfileAggregator
 {
   public:
-    /** Aggregate @p count member profiles into @p out (whose weekly
+    /** Aggregate @p count member profiles into @p out (whose
      *  templates are overwritten in place). */
     void aggregate(const ServerProfile *members, std::size_t count,
                    ServerProfile &out);
@@ -75,7 +78,8 @@ class ProfileAggregator
     std::vector<double> util_;
     std::vector<double> oc_;
     std::vector<double> req_;
-    /** One template's week, reused across members (fillWeek). */
+    /** One template's day rows, reused across members
+     *  (fillDayRows). */
     std::vector<double> row_;
 };
 
@@ -141,7 +145,8 @@ class BudgetHierarchy
      */
     void recompute(power::Watts zoneLimit);
 
-    /** Weekly budget template of @p rack (valid after recompute). */
+    /** Budget template of @p rack, as day rows (valid after
+     *  recompute). */
     const ProfileTemplate &rackBudget(int rack) const
     {
         const auto r = static_cast<std::size_t>(rack);

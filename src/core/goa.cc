@@ -122,7 +122,12 @@ GlobalOverclockingAgent::recompute(sim::Tick now)
     collectProfiles(RecomputeFaults{});
     allocator_.splitInto(rack_.limitWatts(), lastProfiles_,
                          lastBudgets_);
+    pushBudgets(now);
+}
 
+void
+GlobalOverclockingAgent::pushBudgets(sim::Tick now)
+{
     // Perfect network: apply each assignment directly through one
     // reused payload instead of materializing a pending batch.
     for (std::size_t i = 0; i < agents_.size(); ++i) {
@@ -155,12 +160,21 @@ GlobalOverclockingAgent::recomputeWithBudget(
 
     allocator_.splitWeeklyInto(usablePerSlot, lastProfiles_,
                                lastBudgets_);
-    for (std::size_t i = 0; i < agents_.size(); ++i) {
-        fillAssignment(assignScratch_, i, now);
-        if (!agents_[i]->assignBudget(assignScratch_, now))
-            ++stats_.assignmentsRejected;
-    }
-    ++recomputes_;
+    pushBudgets(now);
+}
+
+void
+GlobalOverclockingAgent::recomputeWithDayRows(
+    sim::Tick now, const double *usableDayRows)
+{
+    if (agents_.empty())
+        throw std::logic_error("gOA: recompute with no sOAs");
+    assert(lastProfiles_.size() == agents_.size() &&
+           "gOA: recomputeWithDayRows before pullProfiles");
+
+    allocator_.splitDayRowsInto(usableDayRows, lastProfiles_,
+                                lastBudgets_);
+    pushBudgets(now);
 }
 
 std::vector<PendingAssignment>

@@ -4,7 +4,7 @@
  * Fig. 10.  It periodically (weekly in production) collects each
  * sOA's power/overclock telemetry, rebuilds templates, splits the
  * rack's power limit heterogeneously (BudgetAllocator), and pushes
- * the resulting weekly budget templates back to the sOAs.  Budgets
+ * the resulting budget templates back to the sOAs.  Budgets
  * are used locally until the next recompute, so a gOA outage only
  * freezes budget *updates* — decentralized enforcement continues
  * (§III-Q5).
@@ -141,7 +141,7 @@ class GlobalOverclockingAgent
     void assignEvenSplit();
 
     /**
-     * Periodic recompute: profiles -> heterogeneous weekly budgets
+     * Periodic recompute: profiles -> heterogeneous budgets
      * -> push to sOAs (also refreshes each sOA's own template).
      * Deliveries happen immediately (perfect network).  This is the
      * steady-state hot path: templates come from the sOAs' slot
@@ -186,10 +186,22 @@ class GlobalOverclockingAgent
      * slot of the week, consumed as-is — the hierarchy applies the
      * safety margin once at the zone) across the profiles pulled by
      * pullProfiles(), and push the budgets to the sOAs exactly like
-     * recompute(now) does.  Counts as one recompute.
+     * recompute(now) does.  Counts as one recompute.  The row must
+     * repeat daily (std::invalid_argument otherwise, before any
+     * push): it is reduced to its day rows and split at that width
+     * (BudgetAllocator::splitWeeklyInto).
      */
     void recomputeWithBudget(sim::Tick now,
                              const std::vector<double> &usablePerSlot);
+
+    /**
+     * recomputeWithBudget over a usable limit given as day rows
+     * (ProfileTemplate::kDayRowSlots values, weekday row then
+     * weekend row — a budget template's fillDayRows): the
+     * hierarchical replay's push, with no week-wide row built.
+     */
+    void recomputeWithDayRows(sim::Tick now,
+                              const double *usableDayRows);
 
     /**
      * Apply one pending assignment to its sOA at @p now.
@@ -213,6 +225,10 @@ class GlobalOverclockingAgent
      * their cached profile.
      */
     void collectProfiles(const RecomputeFaults &faults);
+
+    /** Push lastBudgets_ to every sOA at @p now (perfect network)
+     *  and count the recompute. */
+    void pushBudgets(sim::Tick now);
 
     /** Fill @p assignment for server @p i's budget at @p now. */
     void fillAssignment(BudgetAssignment &assignment, std::size_t i,

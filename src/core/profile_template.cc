@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 
 #include "sim/stats.hh"
 
@@ -46,31 +47,53 @@ ProfileTemplate::fromWeekly(std::vector<double> values)
     return out;
 }
 
+bool
+ProfileTemplate::repeatsDaily(const double *week)
+{
+    const auto day = static_cast<std::size_t>(sim::kSlotsPerDay);
+    const std::size_t day_bytes = day * sizeof(double);
+    if (std::memcmp(week + 5 * day, week + 6 * day, day_bytes) != 0)
+        return false;
+    for (std::size_t d = 1; d < 5; ++d)
+        if (std::memcmp(week, week + d * day, day_bytes) != 0)
+            return false;
+    return true;
+}
+
+void
+ProfileTemplate::assignRows(const double *weekday,
+                            const double *weekend)
+{
+    const auto day = static_cast<std::size_t>(sim::kSlotsPerDay);
+    strategy_ = TemplateStrategy::DailyMed;
+    flatValue_ = 0.0;
+    weekday_.assign(weekday, weekday + day);
+    weekend_.assign(weekend, weekend + day);
+    std::vector<double>().swap(weekly_);
+}
+
 void
 ProfileTemplate::assignWeekly(const double *week)
 {
     const auto day = static_cast<std::size_t>(sim::kSlotsPerDay);
-    const std::size_t day_bytes = day * sizeof(double);
-    bool repeats = std::memcmp(week + 5 * day, week + 6 * day,
-                               day_bytes) == 0;
-    for (std::size_t d = 1; repeats && d < 5; ++d)
-        repeats = std::memcmp(week, week + d * day, day_bytes) == 0;
-
-    flatValue_ = 0.0;
-    if (repeats) {
+    if (repeatsDaily(week)) {
         // Monday and Saturday stand for their day class; the
         // DailyMed read paths replay them (days 5-6 are the weekend,
         // sim::isWeekend).
-        strategy_ = TemplateStrategy::DailyMed;
-        weekday_.assign(week, week + day);
-        weekend_.assign(week + 5 * day, week + 6 * day);
-        std::vector<double>().swap(weekly_);
-    } else {
-        strategy_ = TemplateStrategy::Weekly;
-        weekly_.assign(week, week + 7 * day);
-        std::vector<double>().swap(weekday_);
-        std::vector<double>().swap(weekend_);
+        assignRows(week, week + 5 * day);
+        return;
     }
+    strategy_ = TemplateStrategy::Weekly;
+    flatValue_ = 0.0;
+    weekly_.assign(week, week + 7 * day);
+    std::vector<double>().swap(weekday_);
+    std::vector<double>().swap(weekend_);
+}
+
+void
+ProfileTemplate::assignDayRows(const double *rows)
+{
+    assignRows(rows, rows + sim::kSlotsPerDay);
 }
 
 bool
@@ -189,40 +212,37 @@ ProfileTemplate::predict(sim::Tick t) const
     return 0.0;
 }
 
-void
-ProfileTemplate::fillWeek(double *out) const
+bool
+ProfileTemplate::dayRowsEmpty() const
 {
-    const auto slots = static_cast<std::size_t>(sim::kSlotsPerWeek);
     switch (strategy_) {
       case TemplateStrategy::FlatMed:
       case TemplateStrategy::FlatMax:
-        std::fill(out, out + slots, flatValue_);
-        return;
+        return true;
       case TemplateStrategy::Weekly:
-        if (weekly_.empty()) {
-            std::fill(out, out + slots, flatValue_);
-            return;
+        if (!weekly_.empty()) {
+            throw std::invalid_argument(
+                "ProfileTemplate: a Weekly template does not repeat "
+                "daily and has no day rows");
         }
-        std::copy(weekly_.begin(), weekly_.end(), out);
-        return;
+        return true;
       case TemplateStrategy::DailyMed:
-      case TemplateStrategy::DailyMax: {
-        if (weekday_.empty()) {
-            std::fill(out, out + slots, flatValue_);
-            return;
-        }
-        // Monday-first week: days 5 and 6 are the weekend
-        // (sim::isWeekend), matching predict's per-tick test.
-        for (int day = 0; day < 7; ++day) {
-            const auto &src = day >= 5 ? weekend_ : weekday_;
-            std::copy(src.begin(), src.end(),
-                      out + static_cast<std::size_t>(day) *
-                          static_cast<std::size_t>(sim::kSlotsPerDay));
-        }
-        return;
-      }
+      case TemplateStrategy::DailyMax:
+        return weekday_.empty();
     }
-    std::fill(out, out + slots, 0.0);
+    return true;
+}
+
+void
+ProfileTemplate::fillDayRows(double *out) const
+{
+    if (dayRowsEmpty()) {
+        std::fill(out, out + kDayRowSlots, flatValue_);
+        return;
+    }
+    std::copy(weekday_.begin(), weekday_.end(), out);
+    std::copy(weekend_.begin(), weekend_.end(),
+              out + sim::kSlotsPerDay);
 }
 
 std::vector<double>

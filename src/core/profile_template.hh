@@ -70,30 +70,50 @@ class ProfileTemplate
     static ProfileTemplate flat(double value);
 
     /**
+     * Width of the day-row layout every recompute runs at: one
+     * weekday row, then one weekend row, of sim::kSlotsPerDay values
+     * each.  Every online input repeats daily (DailyMed or flat
+     * templates, and budgets split slot by slot from them), so a
+     * week of it is these two rows replayed.
+     */
+    static constexpr std::size_t kDayRowSlots =
+        2 * static_cast<std::size_t>(sim::kSlotsPerDay);
+
+    /**
+     * True when @p week (sim::kSlotsPerWeek values, Monday 00:00
+     * first) repeats daily: its five weekdays equal bit for bit, and
+     * so its two weekend days.  Bit equality (memcmp) keeps -0.0
+     * apart from 0.0 and NaN payloads exact.
+     */
+    static bool repeatsDaily(const double *week);
+
+    /**
      * Template directly from one week of per-slot values
-     * (sim::kSlotsPerWeek entries, Monday 00:00 first).  Used by the
-     * budget allocator to hand per-slot budgets to the sOAs.
+     * (sim::kSlotsPerWeek entries, Monday 00:00 first).
      *
-     * A week that repeats daily — its five weekdays equal bit for
-     * bit, and so its two weekend days — is stored as one weekday
-     * and one weekend row of kSlotsPerDay values, in the DailyMed
-     * form (3.5x smaller); any other week keeps all its slots.
-     * Bit equality (memcmp) keeps -0.0 apart from 0.0 and NaN
-     * payloads exact, so both forms predict the input week at every
-     * tick, and fillWeek, fillWeekMapped, peak and trough agree too.
-     * Every online budget and aggregate repeats: the split is a pure
-     * per-slot function of DailyMed or flat inputs.
+     * A week that repeatsDaily() is stored as one weekday and one
+     * weekend row of kSlotsPerDay values, in the DailyMed form
+     * (3.5x smaller); any other week keeps all its slots in the
+     * Weekly form.  Both forms predict the input week at every
+     * tick, and peak and trough agree too.
      */
     static ProfileTemplate fromWeekly(std::vector<double> values);
 
     /**
      * Overwrite this template in place with the sim::kSlotsPerWeek
      * values at @p week (same semantics and storage as fromWeekly).
-     * Copy-assigns into the existing rows, so a template that is
-     * rebuilt every recompute (the budget allocator's steady state)
-     * reuses its allocation.
+     * Copy-assigns into the existing rows, reusing the allocation.
      */
     void assignWeekly(const double *week);
+
+    /**
+     * Overwrite this template in place with the kDayRowSlots day
+     * rows at @p rows (weekday row, then weekend row): stores
+     * exactly what assignWeekly stores for the week those rows
+     * replay.  The budget allocator and the profile aggregator
+     * write their results this way.
+     */
+    void assignDayRows(const double *rows);
 
     TemplateStrategy strategy() const { return strategy_; }
 
@@ -101,72 +121,39 @@ class ProfileTemplate
     double predict(sim::Tick t) const;
 
     /**
-     * Write one full week of predictions into @p out
-     * (sim::kSlotsPerWeek values, Monday 00:00 first), equal to
-     * predict(slot * sim::kSlot) at every slot.  The bulk accessor
-     * the recompute paths use: a slot loop over predict() re-derives
-     * the slot-of-week from the tick 2016 times per template, which
-     * dominated paper-scale boundary recomputes.
+     * Write this template's day rows into @p out (kDayRowSlots
+     * values: the weekday row, then the weekend row), equal to
+     * predict() at every slot of a weekday and of a weekend day.
+     * The bulk accessor every recompute reads its inputs through:
+     * a flat template fills both rows with its value, a DailyMed or
+     * DailyMax one copies its rows.  A Weekly template with stored
+     * slots does not repeat daily and throws std::invalid_argument.
      */
-    void fillWeek(double *out) const;
+    void fillDayRows(double *out) const;
 
     /**
-     * Like fillWeek, but writes fn(prediction) instead of the raw
-     * prediction: out[slot] == fn(predict(slot * sim::kSlot)) for
-     * every slot of the week, with @p fn invoked once per *distinct
-     * stored value* and the result reused wherever that value
-     * repeats.  For a pure @p fn this is exact — same double in,
-     * same double out — while evaluating a DailyMed template costs
-     * 576 calls instead of 2016 and a flat one costs a single call.
-     * The budget allocator maps its per-core overclock surcharge
-     * model over utilization templates this way; the model
-     * evaluation per (server, slot) dominated recompute cost.
+     * Like fillDayRows, but writes fn(prediction): out[i] ==
+     * fn(v[i]) where v is what fillDayRows writes, with @p fn
+     * invoked once per *stored value* — kDayRowSlots calls for day
+     * rows, a single call for a flat template.  For a pure @p fn
+     * this is exact (same double in, same double out).  The budget
+     * allocator maps its per-core overclock surcharge model over
+     * utilization templates this way; the model evaluation per
+     * (server, slot) dominated recompute cost.  Throws like
+     * fillDayRows.
      */
     template <typename Fn>
-    void fillWeekMapped(double *out, Fn fn) const
+    void fillDayRowsMapped(double *out, Fn fn) const
     {
-        const auto slots =
-            static_cast<std::size_t>(sim::kSlotsPerWeek);
-        switch (strategy_) {
-          case TemplateStrategy::FlatMed:
-          case TemplateStrategy::FlatMax: {
-            std::fill(out, out + slots, fn(flatValue_));
+        if (dayRowsEmpty()) {
+            std::fill(out, out + kDayRowSlots, fn(flatValue_));
             return;
-          }
-          case TemplateStrategy::Weekly: {
-            if (weekly_.empty()) {
-                std::fill(out, out + slots, fn(flatValue_));
-                return;
-            }
-            for (std::size_t slot = 0; slot < slots; ++slot)
-                out[slot] = fn(weekly_[slot]);
-            return;
-          }
-          case TemplateStrategy::DailyMed:
-          case TemplateStrategy::DailyMax: {
-            if (weekday_.empty()) {
-                std::fill(out, out + slots, fn(flatValue_));
-                return;
-            }
-            const auto day_slots =
-                static_cast<std::size_t>(sim::kSlotsPerDay);
-            // Map each day-shape once, then copy per day: days 5-6
-            // are the weekend (sim::isWeekend), as in fillWeek.
-            double *monday = out;
-            for (std::size_t s = 0; s < day_slots; ++s)
-                monday[s] = fn(weekday_[s]);
-            for (int day = 1; day < 5; ++day)
-                std::copy(monday, monday + day_slots,
-                          out + day * day_slots);
-            double *saturday = out + 5 * day_slots;
-            for (std::size_t s = 0; s < day_slots; ++s)
-                saturday[s] = fn(weekend_[s]);
-            std::copy(saturday, saturday + day_slots,
-                      out + 6 * day_slots);
-            return;
-          }
         }
-        std::fill(out, out + slots, 0.0);
+        const auto day = static_cast<std::size_t>(sim::kSlotsPerDay);
+        for (std::size_t s = 0; s < day; ++s)
+            out[s] = fn(weekday_[s]);
+        for (std::size_t s = 0; s < day; ++s)
+            out[day + s] = fn(weekend_[s]);
     }
 
     /** Predictions aligned with @p actual's sampling grid. */
@@ -198,13 +185,25 @@ class ProfileTemplate
     }
 
   private:
+    /**
+     * True when this template predicts flatValue_ everywhere (flat,
+     * or built from an empty history); false when it stores day
+     * rows.  Throws std::invalid_argument for a Weekly template with
+     * stored slots, the one form that does not repeat daily.
+     */
+    bool dayRowsEmpty() const;
+
+    /** Store @p weekday and @p weekend (kSlotsPerDay values each)
+     *  as DailyMed day rows. */
+    void assignRows(const double *weekday, const double *weekend);
+
     /** SlotAggregator mirrors build() incrementally and must fill
      *  the same representation the batch builder produces. */
     friend class SlotAggregator;
     TemplateStrategy strategy_ = TemplateStrategy::FlatMed;
     double flatValue_ = 0.0;
     /** Per slot-of-day values for weekdays (DailyMed/DailyMax,
-     *  and a daily-repeating assignWeekly). */
+     *  a daily-repeating assignWeekly, and assignDayRows). */
     std::vector<double> weekday_;
     /** Per slot-of-day values for weekends (as weekday_). */
     std::vector<double> weekend_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -30,11 +31,21 @@ sortedMedian(const std::vector<double> &sorted)
     return 0.5 * (sorted[mid - 1] + sorted[mid]);
 }
 
+/** Sort @p bucket (std::sort, as every assembly path always has)
+ *  and return its median. */
+double
+sortAndMedian(std::vector<double> &bucket)
+{
+    std::sort(bucket.begin(), bucket.end());
+    return sortedMedian(bucket);
+}
+
 } // namespace
 
 void
 SlotAggregator::SortedBag::erase(double v)
 {
+    touched = true;
     // Evictions leave in arrival order, so the victim is as likely
     // to sit in the unsorted tail as in the body; try the cheap
     // unordered removal first.
@@ -64,7 +75,8 @@ SlotAggregator::SortedBag::flushPending() const
 double
 SlotAggregator::SortedBag::median() const
 {
-    flush();
+    if (!pending.empty())
+        flushPending();
     return sortedMedian(values);
 }
 
@@ -103,7 +115,7 @@ SlotAggregator::add(sim::Tick t, double value)
         firstTick_ = t;
     samples_.push_back(value);
     if (indexed_)
-        indexSample(t, value);
+        bucketAt(t).insert(value);
     else if (samples_.size() > kIndexThreshold)
         buildIndex();
     ++version_;
@@ -111,21 +123,17 @@ SlotAggregator::add(sim::Tick t, double value)
         evictOlderThan(t + sim::kSlot - window_);
 }
 
-void
-SlotAggregator::indexSample(sim::Tick t, double value)
+SlotAggregator::SortedBag &
+SlotAggregator::bucketAt(sim::Tick t)
 {
-    all_.insert(value);
-    auto &bucket = sim::isWeekend(t) ? weekend_[sim::slotOfDay(t)]
-                                     : weekday_[sim::slotOfDay(t)];
-    bucket.insert(value);
+    const auto slot = static_cast<std::size_t>(sim::slotOfDay(t));
+    return sim::isWeekend(t) ? weekend_[slot] : weekday_[slot];
 }
 
 void
 SlotAggregator::buildIndex()
 {
     indexed_ = true;
-    all_.values.clear();
-    all_.pending.clear();
     weekday_.assign(static_cast<std::size_t>(sim::kSlotsPerDay),
                     SortedBag{});
     weekend_.assign(static_cast<std::size_t>(sim::kSlotsPerDay),
@@ -133,10 +141,12 @@ SlotAggregator::buildIndex()
     // Replaying the ring leaves the indexed structures exactly as
     // if they had been maintained from the retained samples all
     // along: bag contents are multisets (the sorted-body/pending
-    // split is representation only).
+    // split is representation only).  Every bag that receives a
+    // sample is touched, so the next build() rewrites every slot
+    // the ring-mode cache may hold stale.
     sim::Tick t = firstTick_;
     for (const double value : samples_) {
-        indexSample(t, value);
+        bucketAt(t).insert(value);
         t += sim::kSlot;
     }
 }
@@ -145,17 +155,10 @@ void
 SlotAggregator::evictOlderThan(sim::Tick cutoff)
 {
     while (!samples_.empty() && firstTick_ < cutoff) {
-        const sim::Tick t = firstTick_;
-        const double value = samples_.front();
+        if (indexed_)
+            bucketAt(firstTick_).erase(samples_.front());
         samples_.pop_front();
         firstTick_ += sim::kSlot;
-        if (indexed_) {
-            all_.erase(value);
-            auto &bucket = sim::isWeekend(t)
-                ? weekend_[sim::slotOfDay(t)]
-                : weekday_[sim::slotOfDay(t)];
-            bucket.erase(value);
-        }
         ++version_;
     }
 }
@@ -169,8 +172,6 @@ SlotAggregator::clear()
     samples_.shrink_to_fit();
     firstTick_ = 0;
     indexed_ = false;
-    all_.values = {};
-    all_.pending = {};
     weekday_ = {};
     weekend_ = {};
     ++version_;
@@ -180,12 +181,24 @@ const ProfileTemplate &
 SlotAggregator::build() const
 {
     if (!cacheValid_ || cacheVersion_ != version_) {
-        cache_ = indexed_ ? assembleFromIndex() : assembleFromRing();
+        // Ring mode hands back a fresh template: rewriting the
+        // cached rows in place measured a larger fleet peak RSS.
+        if (indexed_)
+            refreshFromIndex();
+        else
+            cache_ = assembleFromRing();
         cacheVersion_ = version_;
         cacheValid_ = true;
         ++rebuilds_;
     }
     return cache_;
+}
+
+double
+SlotAggregator::allSamplesMedian() const
+{
+    std::vector<double> all(samples_.begin(), samples_.end());
+    return sortAndMedian(all);
 }
 
 ProfileTemplate
@@ -194,85 +207,81 @@ SlotAggregator::assembleFromRing() const
     // Field-for-field mirror of ProfileTemplate::build(DailyMed)
     // over the retained samples; the equivalence tests hold the two
     // bit-identical.
-    //
-    // Scratch is thread-local: contents are fully rewritten on
-    // every assemble, so the result is a pure function of samples_
-    // (deterministic across thread counts), and aggregators owned
-    // by different racks can build concurrently.  build() runs only
-    // at recompute boundaries, so sorting here instead of
-    // maintaining sorted buckets on every add() trades a few
-    // microseconds per rebuild for ~1.5 KB of resident state per
-    // retained slot per aggregator — the dominant share of the
-    // paper-scale footprint before this layout.
     ProfileTemplate out;
     out.strategy_ = TemplateStrategy::DailyMed;
     if (empty())
         return out;
 
-    // All retained values, sorted: the empty-bucket fallback median.
-    thread_local std::vector<double> all_sorted;
-    all_sorted.assign(samples_.begin(), samples_.end());
-    std::sort(all_sorted.begin(), all_sorted.end());
-
-    // Scatter the ring into per-(weekday|weekend)×slot buckets in
-    // arrival order, then sort each bucket: the same sorted arrays
-    // the batch builder derives, at build time instead of
-    // incrementally.
-    thread_local std::vector<std::vector<double>> weekday;
-    thread_local std::vector<std::vector<double>> weekend;
-    weekday.resize(static_cast<std::size_t>(sim::kSlotsPerDay));
-    weekend.resize(static_cast<std::size_t>(sim::kSlotsPerDay));
-    for (auto &bucket : weekday)
-        bucket.clear();
-    for (auto &bucket : weekend)
-        bucket.clear();
-    sim::Tick t = firstTick_;
-    for (const double value : samples_) {
-        const auto slot = static_cast<std::size_t>(sim::slotOfDay(t));
-        (sim::isWeekend(t) ? weekend : weekday)[slot].push_back(
-            value);
-        t += sim::kSlot;
-    }
-    const double fallback = sortedMedian(all_sorted);
-    auto aggregate = [](std::vector<double> &bucket, double fb) {
-        if (bucket.empty())
-            return fb;
-        std::sort(bucket.begin(), bucket.end());
-        return sortedMedian(bucket);
-    };
-    out.weekday_.resize(sim::kSlotsPerDay);
-    out.weekend_.resize(sim::kSlotsPerDay);
-    for (int s = 0; s < sim::kSlotsPerDay; ++s) {
-        const auto slot = static_cast<std::size_t>(s);
-        out.weekday_[s] = aggregate(weekday[slot], fallback);
-        out.weekend_[s] = aggregate(weekend[slot], out.weekday_[s]);
+    // Sample i covers slot-of-day (first_slot + i) mod kSlotsPerDay
+    // (a day is a whole number of slots, so an off-grid first tick
+    // keeps its offset): slot s's samples start at index
+    // (s - first_slot) mod kSlotsPerDay, on the day after the first
+    // sample's when s < first_slot, and follow one day apart.
+    // Gathered in arrival order and sorted with std::sort, they are
+    // the sorted arrays the batch builder derives.
+    const auto day = static_cast<std::size_t>(sim::kSlotsPerDay);
+    const std::size_t n = samples_.size();
+    const auto first_slot =
+        static_cast<std::size_t>(sim::slotOfDay(firstTick_));
+    const int first_dow = sim::dayOfWeek(firstTick_);
+    std::vector<double> weekday;
+    std::vector<double> weekend;
+    weekday.reserve(n / day + 1);
+    weekend.reserve(n / day + 1);
+    std::optional<double> fallback;
+    out.weekday_.resize(day);
+    out.weekend_.resize(day);
+    for (std::size_t s = 0; s < day; ++s) {
+        weekday.clear();
+        weekend.clear();
+        int dow = s < first_slot ? (first_dow + 1) % 7 : first_dow;
+        for (std::size_t i = (s + day - first_slot) % day; i < n;
+             i += day) {
+            // Days 5 and 6 are the weekend (sim::isWeekend).
+            (dow >= 5 ? weekend : weekday).push_back(samples_[i]);
+            dow = dow == 6 ? 0 : dow + 1;
+        }
+        if (weekday.empty() && !fallback)
+            fallback = allSamplesMedian();
+        out.weekday_[s] =
+            weekday.empty() ? *fallback : sortAndMedian(weekday);
+        out.weekend_[s] =
+            weekend.empty() ? out.weekday_[s] : sortAndMedian(weekend);
     }
     return out;
 }
 
-ProfileTemplate
-SlotAggregator::assembleFromIndex() const
+void
+SlotAggregator::refreshFromIndex() const
 {
-    // Same mirror of ProfileTemplate::build(DailyMed), read from the
-    // incrementally maintained bags: every bag read flushes first,
-    // so medians come off the same sorted multisets the ring-mode
-    // scatter would produce.
-    ProfileTemplate out;
-    out.strategy_ = TemplateStrategy::DailyMed;
-    if (empty())
-        return out;
-
-    auto aggregate = [](const SortedBag &bucket, double fallback) {
-        return bucket.empty() ? fallback : bucket.median();
-    };
-    const double fallback = all_.median();
-    out.weekday_.resize(sim::kSlotsPerDay);
-    out.weekend_.resize(sim::kSlotsPerDay);
-    for (int s = 0; s < sim::kSlotsPerDay; ++s) {
-        out.weekday_[s] = aggregate(weekday_[s], fallback);
-        out.weekend_[s] = aggregate(weekend_[s], out.weekday_[s]);
+    // Same mirror, read from the bags (every median flushes first).
+    // A slot whose two bags nothing touched since the last refresh
+    // keeps its cached values, unless some weekday value is the
+    // all-samples fallback, which moves with every sample: then, and
+    // when the cache has no rows yet, every slot is rewritten.
+    const auto day = static_cast<std::size_t>(sim::kSlotsPerDay);
+    const bool any_empty =
+        std::any_of(weekday_.begin(), weekday_.end(),
+                    [](const SortedBag &bag) { return bag.empty(); });
+    const bool every_slot = any_empty || cache_.weekday_.size() != day;
+    const double fallback = any_empty ? allSamplesMedian() : 0.0;
+    if (every_slot) {
+        cache_ = ProfileTemplate();
+        cache_.strategy_ = TemplateStrategy::DailyMed;
+        cache_.weekday_.resize(day);
+        cache_.weekend_.resize(day);
     }
-    return out;
+    for (std::size_t s = 0; s < day; ++s) {
+        const SortedBag &wd = weekday_[s];
+        const SortedBag &we = weekend_[s];
+        if (!every_slot && !wd.touched && !we.touched)
+            continue;
+        wd.touched = false;
+        we.touched = false;
+        cache_.weekday_[s] = wd.empty() ? fallback : wd.median();
+        cache_.weekend_[s] =
+            we.empty() ? cache_.weekday_[s] : we.median();
+    }
 }
 
 } // namespace core

@@ -17,21 +17,22 @@
  *    state): the only per-sample state is a window-bounded
  *    arrival-order ring of values — 8 B per retained slot, the
  *    ticks being implied by the front sample's tick and the slot
- *    stride; build() scatters it into thread-local bucket
- *    scratch and sorts at build time.  An
- *    earlier design maintained per-(weekday|weekend)×slot sorted
- *    buckets plus a global sorted bag incrementally on every add();
- *    at fleet scale that cost ~1.5 KB of resident bucket state per
- *    retained slot per server (280k+ aggregators resident),
- *    dominating the paper-scale footprint, while build() only runs
- *    at recompute boundaries — a handful of times per run.
+ *    stride.  build() gathers each slot-of-day's samples, one day
+ *    (kSlotsPerDay entries) apart, with a stride and sorts each tiny
+ *    weekday and weekend bucket; the all-samples fallback median is
+ *    sorted only when some weekday bucket is empty.  build() runs
+ *    only at recompute boundaries, so sorting there is cheaper than
+ *    keeping sorted buckets resident (~1.5 KB per retained slot per
+ *    server, 280k+ aggregators at paper scale).
  *  - **Indexed mode** (retention beyond kIndexThreshold slots —
  *    unbounded or multi-week windows): the ring is replayed once
- *    into the classic incremental structures (sorted bag per
- *    bucket, global sorted bag), and
- *    add()/evictions maintain them from then on, so build() stays
- *    O(slots) no matter how long the history grows — the
- *    recompute-vs-horizon bench gates this.
+ *    into one sorted bag per bucket, and add()/evictions maintain
+ *    them from then on, marking each bag they touch.  build()
+ *    rewrites only the touched slots of the cached template, so it
+ *    costs O(changed buckets) no matter how long the history grows
+ *    — the recompute-vs-horizon bench gates this.  While a weekday
+ *    bucket is empty its value is the all-samples median, which
+ *    every sample moves, so build() rewrites every slot.
  *
  * Both modes assemble templates **bit-identical** to
  * ProfileTemplate::build(DailyMed) over the retained history —
@@ -77,9 +78,9 @@ namespace core
  * Exact incremental DailyMed slot aggregation with template
  * caching over a contiguous slot stream, stored as a value-only
  * ring.  Not thread-safe; each sOA owns its aggregators (they are
- * its only telemetry history).  (Ring-mode assembly uses
- * thread-local scratch, so distinct aggregators may build
- * concurrently from distinct threads.)
+ * its only telemetry history).  Assembly keeps no shared or
+ * thread-local state, so distinct aggregators may build
+ * concurrently from distinct threads.
  */
 class SlotAggregator
 {
@@ -156,11 +157,14 @@ class SlotAggregator
         mutable std::vector<double> values;
         /** Unsorted recent tail, bounded by kMaxPending. */
         mutable std::vector<double> pending;
+        /** Changed since build() last read it into the cache. */
+        mutable bool touched = false;
 
         static constexpr std::size_t kMaxPending = 128;
 
         void insert(double v)
         {
+            touched = true;
             pending.push_back(v);
             if (pending.size() >= kMaxPending)
                 flushPending();
@@ -170,14 +174,6 @@ class SlotAggregator
         {
             return values.empty() && pending.empty();
         }
-        /** Merge the pending tail into the sorted body.  Inline
-         *  no-op when the tail is empty (template assembly reads
-         *  every bucket, most of which have nothing pending). */
-        void flush() const
-        {
-            if (!pending.empty())
-                flushPending();
-        }
         /** Matches sim::median bit for bit. */
         double median() const;
 
@@ -186,12 +182,16 @@ class SlotAggregator
     };
 
     void evictOlderThan(sim::Tick cutoff);
-    /** Feed one retained sample into the indexed structures. */
-    void indexSample(sim::Tick t, double value);
+    /** The indexed bucket of the sample at @p t. */
+    SortedBag &bucketAt(sim::Tick t);
     /** Replay the ring into the indexed structures (mode switch). */
     void buildIndex();
+    /** Median of every retained sample: the value of a weekday
+     *  slot no sample fell on. */
+    double allSamplesMedian() const;
     ProfileTemplate assembleFromRing() const;
-    ProfileTemplate assembleFromIndex() const;
+    /** Rewrite the touched slots of cache_ from the bags. */
+    void refreshFromIndex() const;
 
     sim::Tick window_;
     std::uint64_t version_ = 0;
@@ -214,7 +214,6 @@ class SlotAggregator
      * runs, so ring-mode aggregators (all of them at fleet scale)
      * pay nothing for the indexed path.
      */
-    SortedBag all_;
     std::vector<SortedBag> weekday_; // kSlotsPerDay buckets
     std::vector<SortedBag> weekend_; // kSlotsPerDay buckets
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -229,17 +230,38 @@ dailyWeek()
     return week;
 }
 
+/**
+ * fillDayRowsMapped calls fn once per value @p tmpl stores
+ * (@p storedValues) and writes fn of what fillDayRows writes.
+ * @return the day rows fillDayRows wrote.
+ */
+std::vector<double>
+expectMappedDayRows(const ProfileTemplate &tmpl,
+                    std::size_t storedValues)
+{
+    const std::size_t width = ProfileTemplate::kDayRowSlots;
+    std::vector<double> rows(width);
+    std::vector<double> mapped(width);
+    const auto fn = [](double v) { return 2.0 * v + 1.0; };
+    std::size_t calls = 0;
+    tmpl.fillDayRows(rows.data());
+    tmpl.fillDayRowsMapped(mapped.data(), [&](double v) {
+        ++calls;
+        return fn(v);
+    });
+    EXPECT_EQ(calls, storedValues);
+    for (std::size_t i = 0; i < width; ++i)
+        EXPECT_TRUE(sameValue(mapped[i], fn(rows[i]))) << i;
+    return rows;
+}
+
 /** @p tmpl reproduces @p week through every read path. */
 void
 expectReplaysWeek(const ProfileTemplate &tmpl,
                   const std::vector<double> &week)
 {
     const auto slots = static_cast<std::size_t>(sim::kSlotsPerWeek);
-    std::vector<double> filled(slots);
-    std::vector<double> mapped(slots);
-    const auto fn = [](double v) { return 2.0 * v + 1.0; };
-    tmpl.fillWeek(filled.data());
-    tmpl.fillWeekMapped(mapped.data(), fn);
+    const auto day = static_cast<std::size_t>(sim::kSlotsPerDay);
     for (std::size_t slot = 0; slot < slots; ++slot) {
         const auto t = static_cast<sim::Tick>(slot) * kSlot;
         ASSERT_TRUE(sameValue(tmpl.predict(t), week[slot])) << slot;
@@ -248,8 +270,25 @@ expectReplaysWeek(const ProfileTemplate &tmpl,
             << slot;
         ASSERT_TRUE(sameValue(tmpl.predict(t - kWeek), week[slot]))
             << slot;
-        ASSERT_TRUE(sameValue(filled[slot], week[slot])) << slot;
-        ASSERT_TRUE(sameValue(mapped[slot], fn(week[slot]))) << slot;
+    }
+    // Day rows exist exactly for the daily-repeating form: Monday's
+    // and Saturday's slots, one fn call per stored value.
+    if (tmpl.strategy() == TemplateStrategy::DailyMed) {
+        const auto rows = expectMappedDayRows(
+            tmpl, ProfileTemplate::kDayRowSlots);
+        for (std::size_t s = 0; s < day; ++s) {
+            EXPECT_TRUE(sameValue(rows[s], week[s])) << s;
+            EXPECT_TRUE(sameValue(rows[day + s], week[5 * day + s]))
+                << s;
+        }
+    } else {
+        std::vector<double> rows(ProfileTemplate::kDayRowSlots);
+        EXPECT_THROW(tmpl.fillDayRows(rows.data()),
+                     std::invalid_argument);
+        EXPECT_THROW(
+            tmpl.fillDayRowsMapped(rows.data(),
+                                   [](double v) { return v; }),
+            std::invalid_argument);
     }
     // peak/trough of a stored week: std::max/min folds from 0.0 and
     // +inf, which skip NaN.
@@ -329,4 +368,38 @@ TEST(ProfileTemplate, NonRepeatingWeekKeepsEverySlot)
     tmpl.assignWeekly(one_slot.data());
     EXPECT_EQ(tmpl.strategy(), TemplateStrategy::Weekly);
     expectReplaysWeek(tmpl, one_slot);
+}
+
+TEST(ProfileTemplate, FlatDayRowsMapOneStoredValue)
+{
+    // A flat template, and a daily one built from no history, store
+    // one value: fn runs once and fills both rows with it.
+    const TimeSeries empty(0, kSlot);
+    for (const auto &tmpl :
+         {ProfileTemplate::flat(42.0),
+          ProfileTemplate::build(TemplateStrategy::DailyMed, empty),
+          ProfileTemplate::build(TemplateStrategy::Weekly, empty)}) {
+        const auto rows = expectMappedDayRows(tmpl, 1);
+        for (double v : rows)
+            EXPECT_EQ(v, tmpl.predict(0));
+    }
+}
+
+TEST(ProfileTemplate, AssignDayRowsStoresWhatAssignWeeklyStores)
+{
+    const auto week = dailyWeek();
+    const auto day = static_cast<std::size_t>(sim::kSlotsPerDay);
+    std::vector<double> rows(week.begin(), week.begin() + day);
+    rows.insert(rows.end(), week.begin() + 5 * day,
+                week.begin() + 6 * day);
+    ProfileTemplate assigned = ProfileTemplate::fromWeekly(week);
+    assigned.assignWeekly(week.data());
+    ProfileTemplate from_rows = ProfileTemplate::flat(7.0);
+    from_rows.assignDayRows(rows.data());
+    EXPECT_TRUE(from_rows == assigned);
+    expectReplaysWeek(from_rows, week);
+    EXPECT_TRUE(ProfileTemplate::repeatsDaily(week.data()));
+    auto one_slot = week;
+    one_slot[3 * day + 9] += 1.0;
+    EXPECT_FALSE(ProfileTemplate::repeatsDaily(one_slot.data()));
 }

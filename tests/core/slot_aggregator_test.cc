@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <limits>
 #include <random>
 #include <stdexcept>
@@ -308,6 +310,146 @@ TEST(SlotAggregator, ClearReanchorsAtAnyTick)
             agg.add(history.timeOf(i), history.at(i));
         expectMatchesBatch(agg, history);
         EXPECT_EQ(agg.sampleCount(), history.size());
+    }
+}
+
+namespace
+{
+
+/**
+ * Feed @p values (one per slot from @p start) into an aggregator with
+ * @p window, building after every add — and so after every eviction
+ * the add triggers — and comparing each build with the batch builder
+ * over exactly the retained samples.  @return the retained counts
+ * seen, in order.
+ */
+std::vector<std::size_t>
+expectEveryBuildMatchesBatch(sim::Tick start,
+                             const std::vector<double> &values,
+                             sim::Tick window)
+{
+    SlotAggregator agg(window);
+    std::vector<std::size_t> counts;
+    const std::size_t cap = window > 0
+        ? static_cast<std::size_t>(window / kSlot)
+        : values.size();
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        const sim::Tick t = start + static_cast<sim::Tick>(i) * kSlot;
+        agg.add(t, values[i]);
+        const std::size_t kept = std::min(i + 1, cap);
+        const std::size_t first = i + 1 - kept;
+        const TimeSeries retained(
+            start + static_cast<sim::Tick>(first) * kSlot, kSlot,
+            std::vector<double>(
+                values.begin() + static_cast<std::ptrdiff_t>(first),
+                values.begin() + static_cast<std::ptrdiff_t>(i + 1)));
+        EXPECT_EQ(agg.sampleCount(), kept);
+        const bool same = agg.build() ==
+            ProfileTemplate::build(TemplateStrategy::DailyMed,
+                                   retained);
+        EXPECT_TRUE(same) << kept << " samples from tick " << start
+                          << ", window " << window;
+        if (!same)
+            break;
+        counts.push_back(kept);
+    }
+    return counts;
+}
+
+/** @p n random-walk values, or (with @p ties) values drawn from
+ *  {-2, -1, +0.0, -0.0, 1, 2} so buckets are full of equal
+ *  elements, signed zeros among them. */
+std::vector<double>
+streamValues(std::uint64_t seed, std::size_t n, bool ties)
+{
+    if (!ties) {
+        const auto walk = randomHistory(seed, 0, static_cast<int>(n));
+        return walk.values();
+    }
+    std::mt19937_64 rng(seed);
+    std::uniform_int_distribution<int> pick(0, 5);
+    const double choices[] = {-2.0, -1.0, 0.0, -0.0, 1.0, 2.0};
+    std::vector<double> out(n);
+    for (double &v : out)
+        v = choices[pick(rng)];
+    return out;
+}
+
+} // namespace
+
+TEST(SlotAggregator, StridedAssemblyMatchesBatchForEveryStart)
+{
+    // The ring assembly gathers each slot-of-day's samples with a
+    // one-day stride from an index derived from the first tick, and
+    // steps the weekday with a counter: every start day, a start at
+    // either end of the day and one off the 5-minute grid must key
+    // every sample exactly as the batch builder does, after every
+    // add (1, 287, 288, 289, 2,016 and 2,017 among them) and across
+    // the 1-week window's evictions.  The unbounded case, which
+    // retains 2,017 samples and more, is
+    // IndexedRebuildOfTouchedBucketsMatchesBatch.
+    const auto week_slots =
+        static_cast<std::size_t>(sim::kSlotsPerWeek);
+    const std::size_t n = week_slots + 40;
+    std::uint64_t seed = 100;
+    for (int start_day = 0; start_day < 7; ++start_day) {
+        const sim::Tick midnight = start_day * kDay;
+        for (const sim::Tick start :
+             {midnight, midnight + 287 * kSlot,
+              midnight + 141 * kSlot + 97 * sim::kSecond}) {
+            const bool ties = start_day % 2 == 1;
+            const auto values = streamValues(++seed, n, ties);
+            const auto counts =
+                expectEveryBuildMatchesBatch(start, values, kWeek);
+            ASSERT_EQ(counts.size(), n);
+            // After c adds the window keeps c samples, or one week's
+            // worth once the 2,017th add evicts the first.
+            for (const std::size_t c :
+                 {std::size_t{1}, std::size_t{287}, std::size_t{288},
+                  std::size_t{289}, week_slots, week_slots + 1}) {
+                EXPECT_EQ(counts[c - 1], std::min(c, week_slots)) << c;
+            }
+            EXPECT_EQ(counts.back(), week_slots);
+        }
+    }
+}
+
+TEST(SlotAggregator, IndexedRebuildOfTouchedBucketsMatchesBatch)
+{
+    // Unbounded retention crossing kIndexThreshold (Thursday,
+    // off-grid start), with signed-zero ties: every build after the
+    // switch rewrites only the buckets the adds touched.
+    const auto threshold = SlotAggregator::kIndexThreshold;
+    const sim::Tick start = 3 * kDay + 200 * kSlot + 11;
+    const auto values = streamValues(7, threshold + 300, true);
+    const auto counts = expectEveryBuildMatchesBatch(start, values, 0);
+    EXPECT_EQ(counts.size(), values.size());
+
+    // A window past kIndexThreshold evicts in indexed mode: build
+    // after every add past the first eviction, and once after a long
+    // unbuilt run so touched marks accumulate across many adds and
+    // evictions.  The window is not a whole number of days, so each
+    // eviction leaves a different bucket than its add enters.
+    const sim::Tick window = 4 * kWeek + kDay + 7 * kSlot;
+    const auto cap = static_cast<std::size_t>(window / kSlot);
+    const auto stream = streamValues(8, cap + 700, false);
+    SlotAggregator agg(window);
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        const sim::Tick t = start + static_cast<sim::Tick>(i) * kSlot;
+        agg.add(t, stream[i]);
+        if (i + 1 < cap - 5 || (i > cap + 300 && i + 1 < stream.size()))
+            continue;
+        const std::size_t kept = std::min(i + 1, cap);
+        const std::size_t first = i + 1 - kept;
+        const TimeSeries retained(
+            start + static_cast<sim::Tick>(first) * kSlot, kSlot,
+            std::vector<double>(
+                stream.begin() + static_cast<std::ptrdiff_t>(first),
+                stream.begin() + static_cast<std::ptrdiff_t>(i + 1)));
+        ASSERT_TRUE(agg.build() ==
+                    ProfileTemplate::build(TemplateStrategy::DailyMed,
+                                           retained))
+            << i;
     }
 }
 
